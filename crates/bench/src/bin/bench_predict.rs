@@ -3,21 +3,21 @@
 //! every candidate I/O configuration for an application (§4.2's "full
 //! exploration of system configuration space").
 //!
-//! Both engines answer the same API.  The interpreted path
-//! (`Predictor::rank_candidates_interpreted`, kept verbatim as the oracle)
-//! re-encodes each candidate's system half, walks the model enum per row,
-//! allocates a notation `String` per candidate, and full-sorts.  The
-//! compiled path scores the whole grid with one `CompiledModel::
-//! predict_batch` over pre-encoded rows from the cached `CandidateMatrix`,
-//! into thread-local scratch.  Every query in the grid is first checked
-//! for exact equality (config, value bits, order) between the two planes;
-//! the timing then sweeps the full query grid in back-to-back
-//! interpreted/compiled pairs and gates on the median pair ratio.
+//! The interpreted path (`Predictor::rank_candidates_interpreted`, kept
+//! verbatim as the oracle) re-encodes each candidate's system half, walks
+//! the model enum per row, allocates a notation `String` per candidate,
+//! and full-sorts.  The compiled plane routes the whole candidate grid in
+//! one walk over the precomputed grid plan (pre-encoded rows from the
+//! cached `CandidateMatrix`), into thread-local scratch.  Every query in
+//! the grid is first checked for exact equality (config, value bits,
+//! order) between the two; the timing then sweeps the full query grid in
+//! back-to-back interpreted/compiled pairs and gates on the median pair
+//! ratio, per query and fused across queries (`top_k_many`).
 //!
 //! Runs in seconds; wired into `scripts/tier1.sh`.
 
 use acic::space::SpacePoint;
-use acic::{AppPoint, EngineKind, Metrics, Objective, Predictor, Trainer};
+use acic::{AppPoint, Metrics, Objective, Predictor, Trainer};
 use acic_cloudsim::instance::InstanceType;
 use acic_cloudsim::units::{kib, mib};
 use std::hint::black_box;
@@ -174,9 +174,8 @@ fn main() {
     };
 
     // Fused cross-request sweeps: the serve plane's `top_k_many` scores
-    // every query sharing (objective, instance type) in one candidate-
-    // major `predict_batch` over the arenas — f64 and the opt-in f32 SoA
-    // variant.  Correctness first (bit-exact against the per-query
+    // every query sharing (objective, instance type) in one pass over the
+    // arenas.  Correctness first (bit-exact against the per-query
     // interpreted oracle), then back-to-back pair timing.
     let fused_groups: Vec<(Objective, InstanceType, Vec<(AppPoint, usize)>)> = {
         let mut groups: Vec<(Objective, InstanceType, Vec<(AppPoint, usize)>)> = Vec::new();
@@ -190,53 +189,37 @@ fn main() {
         }
         groups
     };
-    let (fused_mismatches, fused_f32_mismatches) = {
+    let fused_mismatches = {
         let _span = metrics.span("phase.equivalence.fused");
-        let mut m64 = 0usize;
-        let mut m32 = 0usize;
+        let mut mismatches = 0usize;
         for (objective, instance_type, queries) in &fused_groups {
-            for (engine, counter) in
-                [(EngineKind::Compiled, &mut m64), (EngineKind::F32, &mut m32)]
-            {
-                let fused = predictor.top_k_many_on(engine, queries, *objective, *instance_type);
-                for ((app, _), got) in queries.iter().zip(&fused) {
-                    let oracle =
-                        predictor.rank_candidates_interpreted(app, *objective, *instance_type);
-                    let exact = got.len() == oracle.len()
-                        && got
-                            .iter()
-                            .zip(&oracle)
-                            .all(|(g, w)| g.0 == w.0 && g.1.to_bits() == w.1.to_bits());
-                    if !exact {
-                        *counter += 1;
-                    }
+            let fused = predictor.top_k_many(queries, *objective, *instance_type);
+            for ((app, _), got) in queries.iter().zip(&fused) {
+                let oracle = predictor.rank_candidates_interpreted(app, *objective, *instance_type);
+                let exact = got.len() == oracle.len()
+                    && got.iter().zip(&oracle).all(|(g, w)| g.0 == w.0 && g.1.to_bits() == w.1.to_bits());
+                if !exact {
+                    mismatches += 1;
                 }
             }
         }
-        (m64, m32)
+        mismatches
     };
-    assert_eq!(fused_mismatches, 0, "fused f64 sweep diverged from the interpreted oracle");
-    assert_eq!(fused_f32_mismatches, 0, "fused f32 sweep diverged from the interpreted oracle");
+    assert_eq!(fused_mismatches, 0, "fused sweep diverged from the interpreted oracle");
 
     eprintln!("timing fused top_k_many over {} queries in {} sweeps ...", grid.len(), fused_groups.len());
-    let (fused_speedup, fused_f32_speedup, fused_s, fused_f32_s) = {
+    let (fused_speedup, fused_s) = {
         let _span = metrics.span("phase.time.fused");
         let reps = 10;
-        for _ in 0..2 {
+        let sweep = || {
             for (objective, instance_type, queries) in &fused_groups {
-                black_box(
-                    predictor
-                        .top_k_many_on(EngineKind::Compiled, queries, *objective, *instance_type)
-                        .len(),
-                );
-                black_box(
-                    predictor
-                        .top_k_many_on(EngineKind::F32, queries, *objective, *instance_type)
-                        .len(),
-                );
+                black_box(predictor.top_k_many(queries, *objective, *instance_type).len());
             }
+        };
+        for _ in 0..2 {
+            sweep();
         }
-        let (mut r64, mut r32, mut s64, mut s32) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let (mut ratios, mut samples) = (Vec::new(), Vec::new());
         for _ in 0..pairs {
             let t = Instant::now();
             for _ in 0..reps {
@@ -251,39 +234,19 @@ fn main() {
             let i = t.elapsed().as_secs_f64() / reps as f64;
             let t = Instant::now();
             for _ in 0..reps {
-                for (objective, instance_type, queries) in &fused_groups {
-                    black_box(
-                        predictor
-                            .top_k_many_on(EngineKind::Compiled, queries, *objective, *instance_type)
-                            .len(),
-                    );
-                }
+                sweep();
             }
-            let c64 = t.elapsed().as_secs_f64() / reps as f64;
-            let t = Instant::now();
-            for _ in 0..reps {
-                for (objective, instance_type, queries) in &fused_groups {
-                    black_box(
-                        predictor
-                            .top_k_many_on(EngineKind::F32, queries, *objective, *instance_type)
-                            .len(),
-                    );
-                }
-            }
-            let c32 = t.elapsed().as_secs_f64() / reps as f64;
-            r64.push(i / c64);
-            r32.push(i / c32);
-            s64.push(c64);
-            s32.push(c32);
+            let c = t.elapsed().as_secs_f64() / reps as f64;
+            ratios.push(i / c);
+            samples.push(c);
         }
-        (median(r64), median(r32), median(s64), median(s32))
+        (median(ratios), median(samples))
     };
-    let fused_best = fused_speedup.max(fused_f32_speedup);
-    let fused_floor_15x = fused_best >= 15.0;
-    let fused_per_query_us = fused_s.min(fused_f32_s) / grid.len() as f64 * 1e6;
+    let fused_floor_15x = fused_speedup >= 15.0;
+    let fused_per_query_us = fused_s / grid.len() as f64 * 1e6;
 
     let json = format!(
-        "{{\n  \"bench\": \"predict_plane\",\n  \"training\": {{ \"dims\": 5, \"rows\": {dbrows} }},\n  \"queries\": {nq},\n  \"rank_candidates\": {{\n    \"interpreted_s\": {interpreted_s:.6},\n    \"compiled_s\": {compiled_s:.6},\n    \"compiled_per_query_us\": {per_query_us:.1},\n    \"speedup\": {speedup:.2},\n    \"speedup_min\": {speedup_min:.2},\n    \"topk5_speedup\": {topk_speedup:.2},\n    \"mismatches\": {mismatches}\n  }},\n  \"fused_rank\": {{\n    \"fused_s\": {fused_s:.6},\n    \"fused_f32_s\": {fused_f32_s:.6},\n    \"fused_per_query_us\": {fused_per_query_us:.2},\n    \"speedup\": {fused_speedup:.2},\n    \"f32_speedup\": {fused_f32_speedup:.2},\n    \"mismatches\": {fused_mismatches},\n    \"f32_mismatches\": {fused_f32_mismatches},\n    \"fused_speedup_floor_15x\": {fused_floor_15x}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"predict_plane\",\n  \"training\": {{ \"dims\": 5, \"rows\": {dbrows} }},\n  \"queries\": {nq},\n  \"rank_candidates\": {{\n    \"interpreted_s\": {interpreted_s:.6},\n    \"compiled_s\": {compiled_s:.6},\n    \"compiled_per_query_us\": {per_query_us:.1},\n    \"speedup\": {speedup:.2},\n    \"speedup_min\": {speedup_min:.2},\n    \"topk5_speedup\": {topk_speedup:.2},\n    \"mismatches\": {mismatches}\n  }},\n  \"fused_rank\": {{\n    \"fused_s\": {fused_s:.6},\n    \"fused_per_query_us\": {fused_per_query_us:.2},\n    \"speedup\": {fused_speedup:.2},\n    \"mismatches\": {fused_mismatches},\n    \"fused_speedup_floor_15x\": {fused_floor_15x}\n  }}\n}}\n",
         dbrows = db.len(),
         nq = grid.len(),
     );
@@ -307,14 +270,13 @@ fn main() {
          (got median pair ratio {speedup:.2}x, min {speedup_min:.2}x)"
     );
     // Gate: the fused cross-request sweep must rank the full query grid at
-    // >= 15x the per-query interpreted oracle on its best engine.  The
-    // fused plane amortizes per-call scratch, row encoding, and arena
-    // traversal across every query sharing an objective; losing that
-    // amortization (e.g. falling back to per-query dispatch) reads near
-    // the plain compiled ratio and fails cleanly.
+    // >= 15x the per-query interpreted oracle.  The fused plane amortizes
+    // per-call scratch and arena traversal across every query sharing an
+    // objective; falling back to per-row walks reads near the packed-batch
+    // ratio and fails cleanly.
     assert!(
-        fused_best >= 15.0,
+        fused_speedup >= 15.0,
         "fused top_k_many must rank the full grid >= 15x the interpreted oracle \
-         (got f64 {fused_speedup:.2}x, f32 {fused_f32_speedup:.2}x)"
+         (got {fused_speedup:.2}x)"
     );
 }

@@ -55,7 +55,7 @@ pub mod split;
 pub mod tree;
 
 pub use builder::{build_tree, build_tree_view, build_tree_view_resorted, BuildParams};
-pub use compile::{CompiledGrid, CompiledModel, CompiledModelF32, CompiledTree, CompiledTreeF32, GridPlan};
+pub use compile::{CompiledGrid, CompiledModel, CompiledTree, GridPlan};
 pub use presort::{best_split_presorted, TreeFrame};
 pub use dataset::{Dataset, Feature, FeatureKind};
 pub use forest::{Forest, ForestParams};

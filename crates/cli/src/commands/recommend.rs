@@ -4,11 +4,10 @@
 //! single-shot, one-worker service), so this command and the long-lived
 //! `acic serve` service answer through exactly the same code and can
 //! never diverge.  That path scores on the compiled inference plane
-//! (batched `CompiledModel` passes over the cached candidate matrix);
-//! `ACIC_ENGINE=interpreted` in the environment forces the interpreted
-//! reference models instead — output must be byte-identical either way,
-//! which `scripts/tier1.sh` checks.  `--top 0` is clamped to 1 (see
-//! `Predictor::top_k`).
+//! (`CompiledModel` grid walks over the cached candidate matrix), which
+//! is bit-identical to the interpreted reference models; the store gate
+//! in `scripts/tier1.sh` checks this command against the served top-k.
+//! `--top 0` is clamped to 1 (see `Predictor::top_k`).
 
 use crate::args::Args;
 use crate::commands::{acic_from_args, goal};

@@ -48,26 +48,26 @@ fn parse_request_line(line: &str) -> Result<(String, Request), String> {
     Ok((label, Request { app: app_point_from(&chars), objective, k }))
 }
 
+/// The per-node [`ServeConfig`]: `--queue`, `--batch`, and `--cache`
+/// override [`ServeConfig::default`]'s values, and zero values are left
+/// for `Server::start` to reject by field name.
+fn serve_config(args: &Args, workers: usize) -> Result<ServeConfig, String> {
+    let d = ServeConfig::default();
+    Ok(ServeConfig {
+        workers,
+        queue_depth: args.parse_or("queue", d.queue_depth)?,
+        batch: args.parse_or("batch", d.batch)?,
+        cache_capacity: args.parse_or("cache", d.cache_capacity)?,
+        ..d
+    })
+}
+
 pub fn run(args: &Args) -> Result<(), String> {
     args.reject_unknown(&[
         "db", "dims", "snapshot", "store", "seed", "workers", "queue", "batch", "cache", "replay",
         "swap-at", "watch", "report", "nodes", "trace", "trace-out", "trace-len", "trace-seed",
-        "trace-pool", "replay-out", "window", "kill-node", "kill-at", "rejoin-at", "engine",
-        "no-fused", "pin",
+        "trace-pool", "replay-out", "window", "kill-node", "kill-at", "rejoin-at",
     ])?;
-    // `--engine interpreted|compiled|f32` pins the scoring plane process-
-    // wide (the env knob is read once, before any predictor runs); the
-    // tier-1 gate replays the same trace under all three and byte-diffs.
-    if let Some(engine) = args.get("engine") {
-        match engine {
-            "interpreted" | "compiled" | "f32" => std::env::set_var("ACIC_ENGINE", engine),
-            other => {
-                return Err(format!(
-                    "bad --engine {other:?}: want interpreted, compiled, or f32"
-                ))
-            }
-        }
-    }
     let metrics = Metrics::new();
     let seed: u64 = args.parse_or("seed", 20131117)?;
     let workers: usize = args.parse_or("workers", 2)?;
@@ -118,16 +118,8 @@ pub fn run(args: &Args) -> Result<(), String> {
             .collect::<Result<_, _>>()?
     };
 
-    let cfg = ServeConfig {
-        workers,
-        queue_depth: args.parse_or("queue", 128)?,
-        batch: args.parse_or("batch", 8)?,
-        cache_capacity: args.parse_or("cache", 4096)?,
-        fused: !args.flag("no-fused"),
-        pin_workers: args.flag("pin"),
-        ..Default::default()
-    };
-    let server = Server::from_acic(&acic, cfg, metrics.clone()).map_err(|e| e.to_string())?;
+    let server = Server::from_acic(&acic, serve_config(args, workers)?, metrics.clone())
+        .map_err(|e| e.to_string())?;
     let handle = server.handle();
     eprintln!(
         "serving with {workers} worker(s), queue depth {}, batch {} (snapshot v{}, {} points)",
@@ -230,18 +222,7 @@ fn run_cluster(
     // The model artifact every node replicates: self-describing samples +
     // seed + model kind, verified per node against its content hash.
     let artifact = PublishedSnapshot::from_db(&boot.acic.db, boot.seed, boot.model);
-    let cfg = ClusterConfig {
-        nodes,
-        node: ServeConfig {
-            workers,
-            queue_depth: args.parse_or("queue", 128)?,
-            batch: args.parse_or("batch", 8)?,
-            cache_capacity: args.parse_or("cache", 4096)?,
-            fused: !args.flag("no-fused"),
-            pin_workers: args.flag("pin"),
-            ..Default::default()
-        },
-    };
+    let cfg = ClusterConfig { nodes, node: serve_config(args, workers)? };
     let mut cluster =
         Cluster::start(artifact, cfg, metrics.clone()).map_err(|e| e.to_string())?;
     eprintln!(

@@ -1,32 +1,26 @@
 //! The CART-backed black-box predictor and top-k recommender (paper §4.2).
 //!
-//! Three scoring engines back the same API ([`EngineKind`], selected once
-//! per process via `ACIC_ENGINE=interpreted|compiled|f32`).  The
-//! **interpreted** engine walks the fitted [`Model`] enum per row — it is
-//! the reference oracle, preserved verbatim as
-//! [`Predictor::rank_candidates_interpreted`].  The **compiled** engine
-//! (the default) lowers both objectives' models into flat [`CompiledModel`]
-//! arenas at train time and scores the whole candidate grid per query in
-//! one `predict_batch` pass over pre-encoded rows from the cached
-//! [`CandidateMatrix`] — bit-identical results, no per-candidate
-//! allocation.  The **f32** engine scores through the halved-traffic
-//! [`CompiledModelF32`] arenas; every serving feature encoding is
-//! f32-exact, so its rankings (and payload bits) are identical too, with
-//! k-NN models transparently falling back to the f64 kernel.  Tier-1
-//! byte-diffs all three planes end to end.
+//! One scoring plane answers every query: both objectives' models are
+//! lowered into flat [`CompiledModel`] arenas at train time, and the
+//! candidate grid is scored per query from the cached [`CandidateMatrix`]
+//! with no per-candidate allocation.  The interpreted walk over the
+//! fitted [`Model`] enum is kept verbatim as
+//! [`Predictor::rank_candidates_interpreted`] — the reference oracle that
+//! tests and `bench_predict` hold the plane against, bit for bit.
 //!
-//! On top of per-query ranking, [`Predictor::top_k_many`] fuses *many*
-//! queries into one candidate-major sweep — the serve worker drains its
-//! whole request batch through a single pass over the model arenas — with
-//! per-query answers bit-identical to [`Predictor::top_k`].
+//! [`Predictor::top_k_many`] answers many queries against one objective and
+//! instance type in one pass over the model arenas — the serve worker drains
+//! its whole request batch through it — and [`Predictor::top_k`] is its
+//! single-query case, so fused and per-query answers run the same code.
 //!
-//! On tree-shaped models both compiled planes route through precomputed
+//! On tree-shaped models the plane routes through precomputed
 //! **candidate-grid plans** (`CompiledModel::plan_grid`, built once at
 //! train time per objective × instance type): every tree node testing a
 //! *system* feature knows, as a bitmask, which candidates go left, so one
 //! query scores the whole candidate grid in a single reachable-subtree
 //! walk — no per-candidate row packing or routing at all.  k-NN (no tree
-//! to plan over) falls back to the packed `predict_batch` row path.
+//! to plan over) packs every query's deployable rows into one
+//! `predict_batch` call instead.
 
 use crate::candidates::CandidateMatrix;
 use crate::error::AcicError;
@@ -36,49 +30,19 @@ use crate::space::{AppPoint, SystemConfig};
 use crate::training::TrainingDb;
 use acic_cart::render::render_with;
 use acic_cart::tree::Prediction;
-use acic_cart::{CompiledGrid, CompiledModel, CompiledModelF32, Model, ModelKind, Tree};
+use acic_cart::{CompiledGrid, CompiledModel, Model, ModelKind, Tree};
 use acic_cloudsim::instance::InstanceType;
 use acic_cloudsim::units::mib;
 use std::cell::RefCell;
-use std::sync::OnceLock;
-
-/// Which scoring plane answers queries.  All three are result-identical on
-/// the serving feature space; the non-default planes exist for differential
-/// testing (tier-1 byte-diffs) and for explicit benchmarking via the
-/// `*_on` entry points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Walk the fitted `Model` enum per row — the reference oracle.
-    Interpreted,
-    /// Flat f64 SoA arenas, blocked `predict_batch` (the default).
-    Compiled,
-    /// f32 SoA arenas (half the routing traffic); k-NN models fall back
-    /// to the f64 kernel (no f32 arena exists for them).
-    F32,
-}
-
-impl EngineKind {
-    /// The process-wide engine, from `ACIC_ENGINE`
-    /// (`interpreted|compiled|f32`, read once; anything else or unset means
-    /// the compiled default).
-    pub fn from_env() -> EngineKind {
-        static ENGINE: OnceLock<EngineKind> = OnceLock::new();
-        *ENGINE.get_or_init(|| match std::env::var("ACIC_ENGINE").as_deref() {
-            Ok("interpreted") => EngineKind::Interpreted,
-            Ok("f32") => EngineKind::F32,
-            _ => EngineKind::Compiled,
-        })
-    }
-}
 
 thread_local! {
-    /// Batched-scoring scratch: (encoded f64 rows, encoded f32 rows,
-    /// predictions, batch-row → candidate index map, packed ranking keys).
-    /// Reused across queries on the same thread, so steady-state scoring
-    /// allocates only the returned `Vec`.
+    /// Scoring scratch: (packed k-NN rows, their predictions,
+    /// candidate-indexed predictions, packed ranking keys).  Reused across
+    /// queries on the same thread, so steady-state scoring allocates only
+    /// the returned `Vec`s.
     #[allow(clippy::type_complexity)]
-    static SCORE_SCRATCH: RefCell<(Vec<f64>, Vec<f32>, Vec<Prediction>, Vec<u32>, Vec<u128>)> =
-        const { RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
+    static SCORE_SCRATCH: RefCell<(Vec<f64>, Vec<Prediction>, Vec<Prediction>, Vec<u128>)> =
+        const { RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
 }
 
 /// A trained predictor: one regression model per objective, both
@@ -97,16 +61,11 @@ pub struct Predictor {
     model_cost: Model,
     compiled_perf: CompiledModel,
     compiled_cost: CompiledModel,
-    /// The f32 arena images (None for k-NN, which has no f32 lowering).
-    compiled_perf_f32: Option<CompiledModelF32>,
-    compiled_cost_f32: Option<CompiledModelF32>,
-    /// Candidate-grid routing plans per `[objective][instance_type]` and
-    /// plane, over the base [`CandidateMatrix`] system rows (None for
-    /// k-NN).  A query then routes the whole candidate grid in one
-    /// reachable-subtree walk instead of packing and scoring one row per
-    /// candidate.
+    /// Candidate-grid routing plans per `[objective][instance_type]`, over
+    /// the base [`CandidateMatrix`] system rows (None for k-NN).  A query
+    /// then routes the whole candidate grid in one reachable-subtree walk
+    /// instead of packing and scoring one row per candidate.
     grids: [[Option<CompiledGrid>; 2]; 2],
-    grids_f32: [[Option<CompiledGrid>; 2]; 2],
 }
 
 impl Predictor {
@@ -125,8 +84,6 @@ impl Predictor {
         let model_cost = Model::fit(&db.to_dataset(Objective::Cost), kind, seed ^ 1);
         let compiled_perf = CompiledModel::compile(&model_perf);
         let compiled_cost = CompiledModel::compile(&model_cost);
-        let compiled_perf_f32 = CompiledModelF32::try_from_compiled(&compiled_perf);
-        let compiled_cost_f32 = CompiledModelF32::try_from_compiled(&compiled_cost);
         let plan = |m: &CompiledModel| {
             InstanceType::ALL.map(|it| {
                 let matrix = CandidateMatrix::of(it);
@@ -135,26 +92,8 @@ impl Predictor {
                 m.plan_grid(&grid, N_SYSTEM_FEATURES)
             })
         };
-        let plan32 = |m: &Option<CompiledModelF32>| {
-            InstanceType::ALL.map(|it| {
-                let matrix = CandidateMatrix::of(it);
-                let grid: Vec<f32> =
-                    matrix.system_rows_f32().iter().flat_map(|r| r.iter().copied()).collect();
-                m.as_ref().map(|m32| m32.plan_grid(&grid, N_SYSTEM_FEATURES))
-            })
-        };
         let grids = [plan(&compiled_perf), plan(&compiled_cost)];
-        let grids_f32 = [plan32(&compiled_perf_f32), plan32(&compiled_cost_f32)];
-        Ok(Self {
-            model_perf,
-            model_cost,
-            compiled_perf,
-            compiled_cost,
-            compiled_perf_f32,
-            compiled_cost_f32,
-            grids,
-            grids_f32,
-        })
+        Ok(Self { model_perf, model_cost, compiled_perf, compiled_cost, grids })
     }
 
     /// The model backing an objective.
@@ -170,15 +109,6 @@ impl Predictor {
         match objective {
             Objective::Performance => &self.compiled_perf,
             Objective::Cost => &self.compiled_cost,
-        }
-    }
-
-    /// The f32 arena for an objective, if the model kind lowers to one
-    /// (trees and forests do; k-NN does not).
-    pub fn compiled_f32(&self, objective: Objective) -> Option<&CompiledModelF32> {
-        match objective {
-            Objective::Performance => self.compiled_perf_f32.as_ref(),
-            Objective::Cost => self.compiled_cost_f32.as_ref(),
         }
     }
 
@@ -201,22 +131,7 @@ impl Predictor {
     /// Predicted improvement (baseline ÷ candidate; > 1 beats baseline) of
     /// running `app` on `system`.
     pub fn predict(&self, system: &SystemConfig, app: &AppPoint, objective: Objective) -> f64 {
-        match EngineKind::from_env() {
-            EngineKind::Interpreted => {
-                self.model(objective).predict(&encode(system, app)).value
-            }
-            EngineKind::F32 => {
-                let row = encode(system, app);
-                match self.compiled_f32(objective) {
-                    Some(m32) => {
-                        let row32: Vec<f32> = row.iter().map(|&x| x as f32).collect();
-                        m32.predict(&row32).value
-                    }
-                    None => self.compiled(objective).predict(&row).value,
-                }
-            }
-            EngineKind::Compiled => self.compiled(objective).predict(&encode(system, app)).value,
-        }
+        self.compiled(objective).predict(&encode(system, app)).value
     }
 
     /// Rank all candidate configurations for `app` by predicted
@@ -228,32 +143,21 @@ impl Predictor {
     /// model ... a full exploration of system configuration space is
     /// affordable here" (§4.2).
     ///
-    /// This is the compiled fast path: candidates, their encoded system
-    /// halves, notations, and the scale validity mask all come precomputed
-    /// from the [`CandidateMatrix`]; the app half is encoded once; the
-    /// whole grid is scored by one [`CompiledModel::predict_batch`] call
-    /// into thread-local scratch.  Result-identical (bit for bit) to
-    /// [`Self::rank_candidates_interpreted`].
+    /// The full ranking is [`Self::top_k`] with `k` past the end; it is
+    /// result-identical (bit for bit) to [`Self::rank_candidates_interpreted`].
     pub fn rank_candidates(
         &self,
         app: &AppPoint,
         objective: Objective,
         instance_type: InstanceType,
     ) -> Vec<(SystemConfig, f64)> {
-        match EngineKind::from_env() {
-            EngineKind::Interpreted => {
-                self.rank_candidates_interpreted(app, objective, instance_type)
-            }
-            // Full ranking = top-k with k past the end.
-            engine => self.ranked_on(engine, app, objective, instance_type, usize::MAX),
-        }
+        self.top_k(app, objective, instance_type, usize::MAX)
     }
 
     /// The interpreted reference ranking — the pre-compilation
     /// implementation, kept verbatim as the oracle the compiled plane is
-    /// differential-tested (and tier-1 byte-diffed) against.  Same results,
-    /// bit for bit; one model walk and one notation `String` per candidate
-    /// per call.
+    /// differential-tested against.  Same results, bit for bit; one model
+    /// walk and one notation `String` per candidate per call.
     pub fn rank_candidates_interpreted(
         &self,
         app: &AppPoint,
@@ -287,12 +191,7 @@ impl Predictor {
     /// is the same query as `k = 1` everywhere).  `k` larger than the
     /// deployable candidate count returns the full ranking.
     ///
-    /// On the compiled plane the list is produced by a bounded partial
-    /// select (`select_nth_unstable_by` on the scored indices, then a sort
-    /// of the k survivors) rather than a full sort — valid because the
-    /// ranking comparator is a total order (notation strings are unique),
-    /// so the k-prefix of the full sort and the selected k coincide
-    /// exactly, ties included.
+    /// This is the single-query case of [`Self::top_k_many`].
     pub fn top_k(
         &self,
         app: &AppPoint,
@@ -300,187 +199,84 @@ impl Predictor {
         instance_type: InstanceType,
         k: usize,
     ) -> Vec<(SystemConfig, f64)> {
-        let k = k.max(1);
-        match EngineKind::from_env() {
-            EngineKind::Interpreted => {
-                let mut r = self.rank_candidates_interpreted(app, objective, instance_type);
-                r.truncate(k);
-                r
-            }
-            engine => self.ranked_on(engine, app, objective, instance_type, k),
-        }
-    }
-
-    /// Rank one query's deployable candidates on a compiled plane: through
-    /// the plane's candidate-grid plan (one reachable-subtree walk, no row
-    /// packing) when it has one, else through the packed
-    /// [`Self::score_deployable`] batch (k-NN).  The shared tail of
-    /// [`Self::rank_candidates`] and [`Self::top_k`].
-    fn ranked_on(
-        &self,
-        engine: EngineKind,
-        app: &AppPoint,
-        objective: Objective,
-        instance_type: InstanceType,
-        k: usize,
-    ) -> Vec<(SystemConfig, f64)> {
-        let matrix = CandidateMatrix::of(instance_type);
-        let (plane, grid) = self.plane_with_grid(engine, objective, instance_type);
-        if let Some(grid) = grid {
-            return SCORE_SCRATCH.with(|scratch| {
-                let (_, _, preds, _, keys) = &mut *scratch.borrow_mut();
-                let active = matrix.validity_bits(app.nprocs);
-                match plane {
-                    Plane::F32(m32) => {
-                        let suffix = encode_app_half(app).map(|x| x as f32);
-                        m32.predict_grid(grid, &suffix, active, preds);
-                    }
-                    Plane::F64(m) => m.predict_grid(grid, &encode_app_half(app), active, preds),
-                }
-                select_ranked_masked(matrix, preds, active, k, keys)
-            });
-        }
-        self.score_deployable(engine, app, objective, matrix, |preds, order| {
-            select_ranked(matrix, preds, order, k)
-        })
+        let mut answer = Vec::new();
+        self.rank_each(&[(*app, k)], objective, instance_type, |ranked| answer = ranked);
+        answer
     }
 
     /// Rank many queries against the same objective and instance type in
-    /// **one fused candidate-major sweep**: every query's deployable grid
-    /// is packed into a single row buffer and scored by one
-    /// `predict_batch` call over the model arenas, then each query's
-    /// segment is selected exactly as [`Self::top_k`] selects it.  Answers
-    /// are bit-identical to calling `top_k(app, objective, instance_type,
-    /// k)` per query — this is purely an amortization of arena traversal,
-    /// scratch reuse, and call overhead across in-flight requests.
+    /// one pass over the model arenas, sharing one scratch borrow: each
+    /// `(app, k)` answer is exactly `top_k(app, objective, instance_type,
+    /// k)` — fusing amortizes arena residency, scratch reuse, and call
+    /// overhead across in-flight requests, never a payload bit.
     ///
-    /// The engine comes from `ACIC_ENGINE` as everywhere else; under the
-    /// interpreted oracle the queries are answered per-query (the oracle
-    /// has no batch form — fused and per-request are *defined* equal
-    /// there).
+    /// Tree-shaped models score each query's whole candidate grid in one
+    /// reachable-subtree walk through the precomputed grid plan.  k-NN (no
+    /// plan) packs every query's deployable rows into one `predict_batch`
+    /// call and scatters each query's predictions back onto candidate
+    /// indices.  Either way each query's top `k` (clamped to ≥ 1) is then
+    /// chosen by a bounded partial select (`select_nth_unstable` on packed
+    /// ranking keys, then a sort of the k survivors) rather than a full
+    /// sort — valid because the ranking order is total (notation strings
+    /// are unique), so the k-prefix of the full sort and the selected k
+    /// coincide exactly, ties included.
     pub fn top_k_many(
         &self,
         queries: &[(AppPoint, usize)],
         objective: Objective,
         instance_type: InstanceType,
     ) -> Vec<Vec<(SystemConfig, f64)>> {
-        self.top_k_many_on(EngineKind::from_env(), queries, objective, instance_type)
+        let mut answers = Vec::with_capacity(queries.len());
+        self.rank_each(queries, objective, instance_type, |ranked| answers.push(ranked));
+        answers
     }
 
-    /// [`Self::top_k_many`] on an explicit engine — how benchmarks and
-    /// differential tests hold the planes against each other in one
-    /// process regardless of `ACIC_ENGINE`.
-    pub fn top_k_many_on(
+    /// The scoring path behind [`Self::top_k`] and [`Self::top_k_many`]:
+    /// hands each query's ranked top-k to `emit`, in query order.
+    fn rank_each(
         &self,
-        engine: EngineKind,
         queries: &[(AppPoint, usize)],
         objective: Objective,
         instance_type: InstanceType,
-    ) -> Vec<Vec<(SystemConfig, f64)>> {
-        if engine == EngineKind::Interpreted {
-            return queries
-                .iter()
-                .map(|(app, k)| {
-                    let mut r = self.rank_candidates_interpreted(app, objective, instance_type);
-                    r.truncate((*k).max(1));
-                    r
-                })
-                .collect();
-        }
+        mut emit: impl FnMut(Vec<(SystemConfig, f64)>),
+    ) {
         let matrix = CandidateMatrix::of(instance_type);
-        let (plane, grid) = self.plane_with_grid(engine, objective, instance_type);
-        if let Some(grid) = grid {
-            // Grid fast path: each query routes the whole candidate grid in
-            // one reachable-subtree walk — no row packing at all.  The
-            // queries still share one scratch borrow and one arena residency.
-            return SCORE_SCRATCH.with(|scratch| {
-                let (_, _, preds, _, keys) = &mut *scratch.borrow_mut();
-                queries
-                    .iter()
-                    .map(|(app, k)| {
-                        let active = matrix.validity_bits(app.nprocs);
-                        match plane {
-                            Plane::F32(m32) => {
-                                let suffix = encode_app_half(app).map(|x| x as f32);
-                                m32.predict_grid(grid, &suffix, active, preds);
-                            }
-                            Plane::F64(m) => {
-                                m.predict_grid(grid, &encode_app_half(app), active, preds);
-                            }
-                        }
-                        select_ranked_masked(matrix, preds, active, (*k).max(1), keys)
-                    })
-                    .collect()
-            });
-        }
+        let model = self.compiled(objective);
+        let grid = self.grid(objective, instance_type);
         SCORE_SCRATCH.with(|scratch| {
-            let (rows, rows32, preds, order, _) = &mut *scratch.borrow_mut();
-            rows.clear();
-            rows32.clear();
-            order.clear();
-            // (start, len, k) of each query's segment in the fused buffer.
-            let mut segments = Vec::with_capacity(queries.len());
-            for (app, k) in queries {
-                let mask = matrix.validity_mask(app.nprocs);
-                let start = order.len();
-                match plane {
-                    Plane::F32(_) => {
-                        let app_half = encode_app_half(app).map(|x| x as f32);
-                        for (i, sys_row) in matrix.system_rows_f32().iter().enumerate() {
-                            if mask[i] {
-                                rows32.extend_from_slice(sys_row);
-                                rows32.extend_from_slice(&app_half);
-                                order.push(i as u32);
-                            }
-                        }
+            let (rows, batch, preds, keys) = &mut *scratch.borrow_mut();
+            if grid.is_none() {
+                rows.clear();
+                for (app, _) in queries {
+                    let app_half = encode_app_half(app);
+                    for i in set_bits(matrix.validity_bits(app.nprocs)) {
+                        rows.extend_from_slice(&matrix.system_rows()[i]);
+                        rows.extend_from_slice(&app_half);
                     }
-                    Plane::F64(_) => {
-                        let app_half = encode_app_half(app);
-                        for (i, sys_row) in matrix.system_rows().iter().enumerate() {
-                            if mask[i] {
-                                rows.extend_from_slice(sys_row);
-                                rows.extend_from_slice(&app_half);
-                                order.push(i as u32);
-                            }
+                }
+                model.predict_batch(rows, batch);
+            }
+            let mut packed = batch.iter();
+            for (app, k) in queries {
+                let active = matrix.validity_bits(app.nprocs);
+                match grid {
+                    Some(grid) => model.predict_grid(grid, &encode_app_half(app), active, preds),
+                    None => {
+                        preds.clear();
+                        preds.resize(matrix.len(), Prediction { value: 0.0, std: 0.0, support: 0 });
+                        for i in set_bits(active) {
+                            preds[i] = *packed.next().expect("one packed row per candidate");
                         }
                     }
                 }
-                segments.push((start, order.len() - start, (*k).max(1)));
+                emit(select_ranked(matrix, preds, active, (*k).max(1), keys));
             }
-            match plane {
-                Plane::F32(m32) => m32.predict_batch(rows32, preds),
-                Plane::F64(m) => m.predict_batch(rows, preds),
-            }
-            segments
-                .iter()
-                .map(|&(start, len, k)| {
-                    select_ranked(matrix, &preds[start..start + len], &order[start..start + len], k)
-                })
-                .collect()
         })
     }
 
-    /// The batched plane answering for `engine` — the f32 arena when asked
-    /// for and available, otherwise the f64 arena (k-NN under
-    /// `ACIC_ENGINE=f32` falls back here).
-    fn plane(&self, engine: EngineKind, objective: Objective) -> Plane<'_> {
-        if engine == EngineKind::F32 {
-            if let Some(m32) = self.compiled_f32(objective) {
-                return Plane::F32(m32);
-            }
-        }
-        Plane::F64(self.compiled(objective))
-    }
-
-    /// [`Self::plane`] plus that plane's candidate-grid plan for
-    /// `instance_type` (None for k-NN — no tree to plan over — in which
-    /// case callers fall back to the packed row path).
-    fn plane_with_grid(
-        &self,
-        engine: EngineKind,
-        objective: Objective,
-        instance_type: InstanceType,
-    ) -> (Plane<'_>, Option<&CompiledGrid>) {
+    /// The candidate-grid plan for `(objective, instance_type)` — None for
+    /// k-NN, which has no tree to plan over.
+    fn grid(&self, objective: Objective, instance_type: InstanceType) -> Option<&CompiledGrid> {
         let oi = match objective {
             Objective::Performance => 0,
             Objective::Cost => 1,
@@ -489,58 +285,7 @@ impl Predictor {
             InstanceType::Cc1_4xlarge => 0,
             InstanceType::Cc2_8xlarge => 1,
         };
-        if engine == EngineKind::F32 {
-            if let Some(m32) = self.compiled_f32(objective) {
-                return (Plane::F32(m32), self.grids_f32[oi][ii].as_ref());
-            }
-        }
-        (Plane::F64(self.compiled(objective)), self.grids[oi][ii].as_ref())
-    }
-
-    /// Score every deployable candidate of `matrix` for `app` in one
-    /// batched pass and hand `(predictions, batch-row → candidate index)`
-    /// to `finish`.  All intermediate buffers are thread-local scratch.
-    fn score_deployable<R>(
-        &self,
-        engine: EngineKind,
-        app: &AppPoint,
-        objective: Objective,
-        matrix: &CandidateMatrix,
-        finish: impl FnOnce(&[Prediction], &[u32]) -> R,
-    ) -> R {
-        let mask = matrix.validity_mask(app.nprocs);
-        let plane = self.plane(engine, objective);
-        SCORE_SCRATCH.with(|scratch| {
-            let (rows, rows32, preds, order, _) = &mut *scratch.borrow_mut();
-            order.clear();
-            match plane {
-                Plane::F32(m32) => {
-                    rows32.clear();
-                    let app_half = encode_app_half(app).map(|x| x as f32);
-                    for (i, sys_row) in matrix.system_rows_f32().iter().enumerate() {
-                        if mask[i] {
-                            rows32.extend_from_slice(sys_row);
-                            rows32.extend_from_slice(&app_half);
-                            order.push(i as u32);
-                        }
-                    }
-                    m32.predict_batch(rows32, preds);
-                }
-                Plane::F64(m) => {
-                    rows.clear();
-                    let app_half = encode_app_half(app);
-                    for (i, sys_row) in matrix.system_rows().iter().enumerate() {
-                        if mask[i] {
-                            rows.extend_from_slice(sys_row);
-                            rows.extend_from_slice(&app_half);
-                            order.push(i as u32);
-                        }
-                    }
-                    m.predict_batch(rows, preds);
-                }
-            }
-            finish(preds, order)
-        })
+        self.grids[oi][ii].as_ref()
     }
 
     /// Render the model tree in the paper's Figure 4 style, with feature
@@ -569,55 +314,24 @@ impl Predictor {
     }
 }
 
-/// A borrowed batched scoring plane (see [`Predictor::plane`]).
-enum Plane<'a> {
-    F64(&'a CompiledModel),
-    F32(&'a CompiledModelF32),
-}
-
-/// Select and sort the top `k` of one scored segment — the shared tail of
-/// [`Predictor::top_k`], [`Predictor::rank_candidates`] (`k = usize::MAX`),
-/// and each [`Predictor::top_k_many`] segment, so fused and per-query
-/// answers go through the very same selection code.
+/// Select and sort the top `k` of one query's scored candidates: the
+/// deployable ones are the set bits of `active`, and `preds` is aligned
+/// with the full candidate enumeration.  `keys` is caller scratch, reused
+/// across queries.
 ///
 /// The ranking order is predicted improvement **descending** (by
 /// `f64::total_cmp`), then notation **ascending** — the same order the
 /// interpreted oracle sorts by, with the notation compare done on the
 /// matrix's precomputed integer ranks (order-isomorphic to the strings).
-/// Each row is packed into one `u128` sort key — the descending
+/// Each candidate is packed into one `u128` sort key — the descending
 /// `total_cmp` image of the predicted value in the high 64 bits, the
-/// notation rank next, the row index last — so selection and sort run on
-/// plain integers instead of an indirect comparator.  The bit transform is
-/// the same monotone image `total_cmp` compares, and ranks are unique per
-/// candidate so the trailing index never decides (it only makes keys
-/// distinct).  Totality of this order is what lets `top_k`
+/// notation rank next, the candidate index last — so selection and sort
+/// run on plain integers instead of an indirect comparator.  The bit
+/// transform is the same monotone image `total_cmp` compares, and ranks
+/// are unique per candidate so the trailing index never decides (it only
+/// makes keys distinct).  Totality of this order is what lets `top_k`
 /// partial-select instead of full-sorting.
 fn select_ranked(
-    matrix: &CandidateMatrix,
-    preds: &[Prediction],
-    order: &[u32],
-    k: usize,
-) -> Vec<(SystemConfig, f64)> {
-    let mut keys: Vec<u128> = (0..order.len())
-        .map(|i| ranking_key(preds[i].value, matrix.notation_rank(order[i] as usize), i))
-        .collect();
-    top_of(&mut keys, k);
-    keys.iter()
-        .map(|&key| {
-            let i = (key & 0xffff_ffff) as usize;
-            (matrix.configs()[order[i] as usize], preds[i].value)
-        })
-        .collect()
-}
-
-/// [`select_ranked`] over candidate-indexed grid predictions: the scored
-/// rows are the set bits of `active` and `preds` is aligned with the full
-/// candidate enumeration (how [`CompiledModel::predict_grid`] fills it).
-/// The keys carry the candidate index where the packed path carries the
-/// batch-row index — both strictly increase in enumeration order, and the
-/// index never decides (ranks are unique), so the selected order is
-/// identical.  `keys` is caller scratch, reused across queries.
-fn select_ranked_masked(
     matrix: &CandidateMatrix,
     preds: &[Prediction],
     active: u64,
@@ -625,12 +339,7 @@ fn select_ranked_masked(
     keys: &mut Vec<u128>,
 ) -> Vec<(SystemConfig, f64)> {
     keys.clear();
-    let mut m = active;
-    while m != 0 {
-        let i = m.trailing_zeros() as usize;
-        m &= m - 1;
-        keys.push(ranking_key(preds[i].value, matrix.notation_rank(i), i));
-    }
+    keys.extend(set_bits(active).map(|i| ranking_key(preds[i].value, matrix.notation_rank(i), i)));
     top_of(keys, k);
     keys.iter()
         .map(|&key| {
@@ -638,6 +347,18 @@ fn select_ranked_masked(
             (matrix.configs()[i], preds[i].value)
         })
         .collect()
+}
+
+/// The indices of the set bits of `mask`, ascending.
+#[inline]
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 /// Pack one scored row into its `u128` ranking key: the descending
@@ -857,11 +578,11 @@ mod tests {
     }
 
     #[test]
-    fn fused_top_k_many_matches_per_query_oracle_on_every_engine() {
-        // The fused sweep's contract: for every engine, answering N queries
-        // in one candidate-major pass is bit-identical to answering each
-        // alone through the interpreted oracle — same configs, same order,
-        // same value bits — including mixed `k`s inside one fused call.
+    fn fused_top_k_many_matches_per_query_oracle() {
+        // The fused sweep's contract: answering N queries in one pass is
+        // bit-identical to answering each alone through the interpreted
+        // oracle — same configs, same order, same value bits — including
+        // mixed `k`s inside one fused call, for every model kind.
         let db = small_db();
         let apps = {
             let mut big = SpacePoint::default_point().app;
@@ -875,7 +596,7 @@ mod tests {
         for kind in [
             acic_cart::ModelKind::Cart,
             acic_cart::ModelKind::Forest { n_trees: 7 },
-            acic_cart::ModelKind::Knn { k: 5 }, // f32 engine must fall back
+            acic_cart::ModelKind::Knn { k: 5 }, // the packed-row path
         ] {
             let p = Predictor::train_with(&db, 3, kind).unwrap();
             for objective in [Objective::Performance, Objective::Cost] {
@@ -894,37 +615,18 @@ mod tests {
                             r
                         })
                         .collect();
-                    for engine in
-                        [EngineKind::Interpreted, EngineKind::Compiled, EngineKind::F32]
-                    {
-                        let got = p.top_k_many_on(engine, &queries, objective, it);
-                        assert_eq!(got.len(), oracle.len());
-                        for (qi, (g, o)) in got.iter().zip(&oracle).enumerate() {
-                            assert_eq!(g.len(), o.len(), "{kind} {engine:?} query {qi}");
-                            for ((gc, gv), (oc, ov)) in g.iter().zip(o) {
-                                assert_eq!(gc, oc, "{kind} {engine:?} query {qi}");
-                                assert_eq!(
-                                    gv.to_bits(),
-                                    ov.to_bits(),
-                                    "{kind} {engine:?} query {qi} {}",
-                                    gc.notation()
-                                );
-                            }
+                    let got = p.top_k_many(&queries, objective, it);
+                    assert_eq!(got.len(), oracle.len());
+                    for (qi, (g, o)) in got.iter().zip(&oracle).enumerate() {
+                        assert_eq!(g.len(), o.len(), "{kind} query {qi}");
+                        for ((gc, gv), (oc, ov)) in g.iter().zip(o) {
+                            assert_eq!(gc, oc, "{kind} query {qi}");
+                            assert_eq!(gv.to_bits(), ov.to_bits(), "{kind} query {qi} {}", gc.notation());
                         }
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn f32_arena_exists_exactly_for_tree_backed_models() {
-        let db = small_db();
-        let p = Predictor::train(&db, 1).unwrap();
-        assert!(p.compiled_f32(Objective::Performance).is_some());
-        assert!(p.compiled_f32(Objective::Cost).is_some());
-        let p = Predictor::train_with(&db, 1, acic_cart::ModelKind::Knn { k: 3 }).unwrap();
-        assert!(p.compiled_f32(Objective::Performance).is_none());
     }
 
     #[test]

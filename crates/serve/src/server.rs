@@ -11,29 +11,19 @@
 //! bounded shard queue: [`ServeHandle::submit`] returns a typed
 //! [`ServeError::Overloaded`] instead of queueing without bound.
 //!
-//! Workers drain up to `batch` queued jobs per wakeup and (by default —
-//! `ServeConfig::fused`) answer them through the **fused inference
-//! plane**: the whole drained batch's cache misses are grouped by
-//! generation and scored in one candidate-major `predict_batch` sweep
-//! over the model arenas (`Predictor::top_k_many` via
-//! `ModelSnapshot::answer_many_with`), amortizing arena traversal, row
-//! encoding, and scratch across in-flight requests.  Duplicate keys
-//! within a batch are computed once and absorbed by the versioned cache.
-//! The per-request legacy path (`fused: false`) is retained for
-//! differential testing; the two paths are byte-identical in payloads and
-//! cache accounting.
-//!
-//! With `ServeConfig::pin_workers`, each worker pins itself to core
-//! `w mod cores` (Linux `sched_setaffinity`; a graceful no-op elsewhere)
-//! and scores through a worker-local clone of each generation's predictor,
-//! so arena reads hit memory the pinned worker allocated (first-touch
-//! placement).  Cloning changes no bits — answers stay a pure function of
-//! (generation, key).
+//! Workers drain up to `batch` queued jobs per wakeup and answer them
+//! through the **fused inference plane**: the whole drained batch's cache
+//! misses are grouped by generation and each group is scored in one pass
+//! over that generation's model arenas (`Predictor::top_k_many` via
+//! `ModelSnapshot::answer_many`), amortizing arena traversal and scratch
+//! across in-flight requests.  Duplicate keys within a batch are computed
+//! once and absorbed by the versioned cache, so payloads *and* cache
+//! accounting are independent of where batch boundaries fall.
 //!
 //! Determinism: a response's payload is a pure function of (snapshot
-//! version, canonical key).  Thread scheduling, batching boundaries,
-//! fusing, pinning, and cache state can change *when* and *how cheaply*
-//! an answer is produced, never *what* it is.
+//! version, canonical key).  Thread scheduling, batching boundaries, and
+//! cache state can change *when* and *how cheaply* an answer is produced,
+//! never *what* it is.
 
 use crate::cache::{CachedTopK, ResultCache};
 use crate::queue::{BoundedQueue, PushError};
@@ -62,16 +52,6 @@ pub struct ServeConfig {
     /// follow-up I/O in a real deployment).  Zero in production paths;
     /// `bench_serve` sets it to measure how the pool overlaps latency.
     pub service_stall: Duration,
-    /// Score each drained batch through the fused cross-request inference
-    /// plane (default).  `false` keeps the per-request legacy path, which
-    /// exists for differential replay — both paths produce byte-identical
-    /// payloads and cache accounting.
-    pub fused: bool,
-    /// Pin worker `w` to core `w mod cores` and score through a
-    /// worker-local predictor clone (first-touch arena placement).  Linux
-    /// only; a graceful no-op elsewhere.  Off by default: pinning helps
-    /// steady-state serving fleets, not short-lived test servers.
-    pub pin_workers: bool,
 }
 
 impl Default for ServeConfig {
@@ -84,8 +64,6 @@ impl Default for ServeConfig {
             cache_shards: 8,
             instance_type: InstanceType::Cc2_8xlarge,
             service_stall: Duration::ZERO,
-            fused: true,
-            pin_workers: false,
         }
     }
 }
@@ -101,10 +79,10 @@ impl ServeConfig {
     /// never answers, a zero-depth queue admits nothing, a zero-size batch
     /// would make every worker spin on `pop_batch(0)` forever without
     /// answering (and without ever observing shutdown), and a cache with
-    /// no shards has nowhere to store results.  [`Server::start`] calls
-    /// this, so an invalid config is a typed [`acic::AcicError::Invalid`]
-    /// naming the offending field — not a panic, a silent clamp, or a
-    /// server that hangs its first client.
+    /// no entries or no shards has nowhere to store results.
+    /// [`Server::start`] calls this, so an invalid config is a typed
+    /// [`acic::AcicError::Invalid`] naming the offending field — not a
+    /// panic, a silent clamp, or a server that hangs its first client.
     pub fn validate(&self) -> Result<(), acic::AcicError> {
         let reject = |field: &str, got: usize| {
             Err(acic::AcicError::Invalid(format!(
@@ -119,6 +97,9 @@ impl ServeConfig {
         }
         if self.batch == 0 {
             return reject("batch", self.batch);
+        }
+        if self.cache_capacity == 0 {
+            return reject("cache_capacity", self.cache_capacity);
         }
         if self.cache_shards == 0 {
             return reject("cache_shards", self.cache_shards);
@@ -507,64 +488,8 @@ impl Pending {
     }
 }
 
-/// Pin the calling thread to one CPU core.  Returns whether the kernel
-/// accepted the affinity mask.  Linux-only: raw `sched_setaffinity` on the
-/// calling thread (pid 0) — no new dependency, and everywhere else this is
-/// a graceful no-op so `pin_workers` is safe to leave on in portable code.
-#[cfg(target_os = "linux")]
-fn pin_to_core(core: usize) -> bool {
-    /// `cpu_set_t`: a fixed 1024-bit mask on Linux.
-    #[repr(C)]
-    struct CpuSet {
-        bits: [u64; 16],
-    }
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
-    }
-    let core = core % (16 * 64);
-    let mut mask = CpuSet { bits: [0; 16] };
-    mask.bits[core / 64] |= 1u64 << (core % 64);
-    // SAFETY: pid 0 targets the calling thread; the mask outlives the call
-    // and its size is passed explicitly.
-    unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &mask) == 0 }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_to_core(_core: usize) -> bool {
-    false
-}
-
-/// The predictor a pinned worker scores generation `snapshot` with: a
-/// worker-local clone, rebuilt once per generation, so the arenas it walks
-/// were allocated (first-touched) by this worker on its own core.  Unpinned
-/// workers share the snapshot's predictor directly — cloning buys nothing
-/// without placement.  Either way the answers are bit-identical: a clone
-/// changes where the arenas live, never what they contain.
-fn generation_predictor<'a>(
-    local: &'a mut Option<(u64, Predictor)>,
-    snapshot: &'a ModelSnapshot,
-    pinned: bool,
-) -> &'a Predictor {
-    if !pinned {
-        return snapshot.predictor();
-    }
-    if local.as_ref().map(|(v, _)| *v) != Some(snapshot.version()) {
-        *local = Some((snapshot.version(), snapshot.predictor().clone()));
-    }
-    &local.as_ref().expect("just installed").1
-}
-
 fn worker_loop(shared: &Shared, w: usize) {
     let queue = &shared.queues[w];
-    if shared.cfg.pin_workers {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        if pin_to_core(w % cores) {
-            shared.metrics.incr("serve.workers_pinned", 1);
-        }
-    }
-    // Pinned workers score through a worker-local clone per generation
-    // (see `generation_predictor`); unpinned workers leave this `None`.
-    let mut local: Option<(u64, Predictor)> = None;
     loop {
         let batch = queue.pop_batch(shared.cfg.batch);
         if batch.is_empty() {
@@ -572,46 +497,7 @@ fn worker_loop(shared: &Shared, w: usize) {
         }
         shared.metrics.incr("serve.batches", 1);
         shared.metrics.incr("serve.requests_served", batch.len() as u64);
-        if shared.cfg.fused {
-            serve_fused(shared, batch, &mut local);
-        } else {
-            serve_sequential(shared, batch, &mut local);
-        }
-    }
-}
-
-/// The per-request legacy path: probe, (maybe) compute, respond — one job
-/// at a time.  Kept for differential replay against the fused plane; both
-/// answer every job from its admission-stamped generation.
-fn serve_sequential(shared: &Shared, batch: Vec<Job>, local: &mut Option<(u64, Predictor)>) {
-    let m = &shared.metrics;
-    for mut job in batch {
-        m.observe_latency("serve.queue_wait", job.enqueued.elapsed().as_secs_f64());
-        if !shared.cfg.service_stall.is_zero() {
-            std::thread::sleep(shared.cfg.service_stall);
-        }
-        let version = job.snapshot.version();
-        let t0 = Instant::now();
-        let (top, cache_hit) = match shared.cache.get(&job.key, version) {
-            Some(top) => {
-                m.observe_latency("serve.cache_hit", t0.elapsed().as_secs_f64());
-                (top, true)
-            }
-            None => {
-                let predictor = generation_predictor(local, &job.snapshot, shared.cfg.pin_workers);
-                let top: CachedTopK = Arc::new(predictor.top_k(
-                    job.key.app(),
-                    job.key.objective(),
-                    job.key.instance_type(),
-                    job.key.k(),
-                ));
-                shared.cache.insert(job.key.clone(), version, Arc::clone(&top));
-                m.observe_latency("serve.predict", t0.elapsed().as_secs_f64());
-                m.incr("serve.predictions", 1);
-                (top, false)
-            }
-        };
-        job.respond(Response { top, snapshot_version: version, cache_hit });
+        serve_fused(shared, batch);
     }
 }
 
@@ -623,37 +509,37 @@ enum Slot {
     Compute(Option<CachedTopK>),
     /// Same (generation, key) as an earlier `Compute` in this batch: the
     /// primary computes and inserts once, and this job re-probes the cache
-    /// in Phase C — the hit the sequential path would have recorded.
+    /// in Phase C — the hit it would have recorded had the batch boundary
+    /// fallen between them.
     Dup,
 }
 
 /// The fused cross-request path: one drained batch becomes (at most one
-/// per generation) candidate-major `predict_batch` sweeps.
+/// per generation) [`ModelSnapshot::answer_many`] sweeps.
 ///
 /// Three phases, all in admission order where order is visible:
 /// - **A (probe)**: record queue wait and probe the cache per job.
 ///   Misses join the fused sweep; duplicate (generation, key) misses defer
 ///   to Phase C so each unique key is computed exactly once.
 /// - **B (sweep)**: stable-sort the misses by generation, and answer each
-///   generation's run with one [`ModelSnapshot::answer_many_with`] call —
-///   the candidate-major fused sweep over that generation's arenas.
-///   Results are inserted into the versioned cache as they land.
+///   generation's run with one [`ModelSnapshot::answer_many`] call — the
+///   fused sweep over that generation's arenas.  Results are inserted into
+///   the versioned cache as they land.
 /// - **C (respond)**: apply the per-request downstream stall and reply in
-///   admission order.  Dups re-probe the cache (counting the same hit the
-///   sequential path would); if a tiny cache already evicted the entry,
-///   they recompute exactly like a sequential miss.
-fn serve_fused(shared: &Shared, batch: Vec<Job>, local: &mut Option<(u64, Predictor)>) {
+///   admission order.  Dups re-probe the cache (counting the same hit a
+///   batch of one would); if a tiny cache already evicted the entry, they
+///   recompute exactly like a miss.
+fn serve_fused(shared: &Shared, batch: Vec<Job>) {
     let m = &shared.metrics;
     m.incr("serve.fused_batch.batches", 1);
     m.incr("serve.fused_batch.requests", batch.len() as u64);
     m.record_max("serve.fused_batch.max_requests", batch.len() as u64);
 
     // Phase A: probe in admission order; collect unique misses.  The dup
-    // check runs *before* the cache probe: by the time a dup would have
-    // been processed sequentially its primary had already inserted, so the
-    // sequential path books exactly one hit for it — probing here would
-    // add a phantom miss and make cache counters depend on batching
-    // boundaries (breaking deterministic replay).
+    // check runs *before* the cache probe: at batch width 1 the primary
+    // would already have inserted, booking exactly one hit for the dup —
+    // probing here would add a phantom miss and make cache counters depend
+    // on batching boundaries (breaking deterministic replay).
     let mut slots: Vec<Slot> = Vec::with_capacity(batch.len());
     let mut to_compute: Vec<usize> = Vec::new();
     for (i, job) in batch.iter().enumerate() {
@@ -690,14 +576,11 @@ fn serve_fused(shared: &Shared, batch: Vec<Job>, local: &mut Option<(u64, Predic
         }
         groups += 1;
         let run = &to_compute[g..end];
-        let predictor =
-            generation_predictor(local, &batch[run[0]].snapshot, shared.cfg.pin_workers);
         let keys: Vec<&CacheKey> = run.iter().map(|&i| &batch[i].key).collect();
         let t0 = Instant::now();
-        let answers = ModelSnapshot::answer_many_with(predictor, &keys);
-        // Each fused answer books its fair share of the sweep, keeping the
-        // `serve.predict` histogram count-compatible with the sequential
-        // path (one observation per prediction).
+        let answers = batch[run[0]].snapshot.answer_many(&keys);
+        // Each fused answer books its fair share of the sweep, so the
+        // `serve.predict` histogram holds one observation per prediction.
         let share = t0.elapsed().as_secs_f64() / run.len() as f64;
         for (&i, answer) in run.iter().zip(answers) {
             let top: CachedTopK = Arc::new(answer);
@@ -729,15 +612,8 @@ fn serve_fused(shared: &Shared, batch: Vec<Job>, local: &mut Option<(u64, Predic
                     }
                     None => {
                         // The primary's entry was evicted already (tiny
-                        // cache): recompute, as a sequential miss would.
-                        let predictor =
-                            generation_predictor(local, &job.snapshot, shared.cfg.pin_workers);
-                        let top: CachedTopK = Arc::new(predictor.top_k(
-                            job.key.app(),
-                            job.key.objective(),
-                            job.key.instance_type(),
-                            job.key.k(),
-                        ));
+                        // cache): recompute, as a lone miss would.
+                        let top: CachedTopK = Arc::new(job.snapshot.answer(&job.key));
                         shared.cache.insert(job.key.clone(), version, Arc::clone(&top));
                         m.observe_latency("serve.predict", t0.elapsed().as_secs_f64());
                         m.incr("serve.predictions", 1);
@@ -906,16 +782,18 @@ mod tests {
 
     #[test]
     fn zero_sized_configs_are_rejected_with_typed_errors_naming_the_field() {
-        // Regression: a zero-worker pool used to be silently clamped to 1;
-        // a zero-depth queue or zero-shard cache would have panicked (or
-        // hung the first client) deep inside construction.  All three must
-        // now fail fast at Server::start with a typed error naming the
-        // rejected field.
+        // Regression: a zero-worker pool and a zero-entry cache used to be
+        // silently clamped (to 1 worker, to one entry per shard); a
+        // zero-depth queue or zero-shard cache would have panicked (or hung
+        // the first client) deep inside construction.  All of them must now
+        // fail fast at Server::start with a typed error naming the rejected
+        // field.
         let (p, n) = predictor(3, 3);
         for (cfg, field) in [
             (ServeConfig { workers: 0, ..Default::default() }, "workers"),
             (ServeConfig { queue_depth: 0, ..Default::default() }, "queue_depth"),
             (ServeConfig { batch: 0, ..Default::default() }, "batch"),
+            (ServeConfig { cache_capacity: 0, ..Default::default() }, "cache_capacity"),
             (ServeConfig { cache_shards: 0, ..Default::default() }, "cache_shards"),
         ] {
             assert!(matches!(cfg.validate(), Err(acic::AcicError::Invalid(_))), "{field}");
@@ -1019,10 +897,12 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_sequential_paths_answer_identically() {
-        // The fused plane is a batching strategy, not a semantic: payloads
-        // and versions must match the per-request legacy path bit for bit
-        // on a mixed workload (duplicates, distinct apps, varied k).
+    fn answers_and_cache_counters_are_independent_of_batch_width() {
+        // Fusing is a batching strategy, not a semantic: replayed at batch
+        // width 1 (every job alone) and 16 (duplicates, distinct apps, and
+        // varied k drained together), every payload must equal the
+        // interpreted oracle's top-k bit for bit, and the cache must book
+        // the same hits and misses at both widths.
         let (p, n) = predictor(4, 3);
         let mut big = request(7);
         big.app.data_size = mib(512.0);
@@ -1030,26 +910,32 @@ mod tests {
         cost.objective = Objective::Cost;
         let reqs =
             [request(3), big, request(3), cost, request(28), big, request(1), cost, request(3)];
-        let run = |fused: bool| {
-            let cfg = ServeConfig { batch: 16, fused, ..Default::default() };
+        let run = |batch: usize| {
+            let cfg = ServeConfig { batch, ..Default::default() };
             let server = Server::start(p.clone(), n, cfg, Metrics::new()).unwrap();
             let h = server.handle();
             let pending: Vec<Pending> =
                 reqs.iter().map(|&r| h.submit_blocking(r).unwrap()).collect();
-            let out: Vec<Response> = pending.into_iter().map(|p| p.wait().unwrap()).collect();
-            server.shutdown();
-            out
-        };
-        let fused = run(true);
-        let sequential = run(false);
-        for (i, (a, b)) in fused.iter().zip(&sequential).enumerate() {
-            assert_eq!(a.snapshot_version, b.snapshot_version, "request {i}");
-            assert_eq!(a.top.len(), b.top.len(), "request {i}");
-            for (x, y) in a.top.iter().zip(b.top.iter()) {
-                assert_eq!(x.0, y.0, "request {i}");
-                assert_eq!(x.1.to_bits(), y.1.to_bits(), "request {i}");
+            for (i, (req, pend)) in reqs.iter().zip(pending).enumerate() {
+                let resp = pend.wait().unwrap();
+                let key = req.key(InstanceType::Cc2_8xlarge);
+                let mut oracle =
+                    p.rank_candidates_interpreted(key.app(), key.objective(), key.instance_type());
+                oracle.truncate(key.k().max(1));
+                assert_eq!(resp.snapshot_version, 1, "batch {batch} request {i}");
+                assert_eq!(resp.top.len(), oracle.len(), "batch {batch} request {i}");
+                for (x, y) in resp.top.iter().zip(&oracle) {
+                    assert_eq!(x.0, y.0, "batch {batch} request {i}");
+                    assert_eq!(x.1.to_bits(), y.1.to_bits(), "batch {batch} request {i}");
+                }
             }
-        }
+            let (hits, misses, _) = server.cache_stats();
+            server.shutdown();
+            (hits, misses)
+        };
+        let one = run(1);
+        assert_eq!(one, (4, 5), "5 distinct keys among 9 requests");
+        assert_eq!(run(16), one, "cache accounting must not depend on batch width");
     }
 
     #[test]
@@ -1067,29 +953,6 @@ mod tests {
         assert_eq!(m.counter("serve.fused_batch.max_requests"), 1);
         assert_eq!(m.counter("serve.fused_batch.groups"), 2);
         assert_eq!(m.counter("serve.predictions"), 2);
-    }
-
-    #[test]
-    fn pinned_workers_answer_bit_identically_and_count_pins() {
-        let (p, n) = predictor(3, 3);
-        let m = Metrics::new();
-        let cfg = ServeConfig { pin_workers: true, ..Default::default() };
-        let server = Server::start(p.clone(), n, cfg, m.clone()).unwrap();
-        let h = server.handle();
-        let resp = h.query(request(5)).unwrap();
-        let direct = p.top_k(
-            &SpacePoint::default_point().app,
-            Objective::Performance,
-            InstanceType::Cc2_8xlarge,
-            5,
-        );
-        assert_eq!(*resp.top, direct, "pinning and local clones must not change a bit");
-        server.shutdown();
-        let pinned = m.counter("serve.workers_pinned");
-        assert!(pinned <= 1, "one worker pins at most once (got {pinned})");
-        if cfg!(target_os = "linux") {
-            assert_eq!(pinned, 1, "pinning to core 0 must succeed on Linux");
-        }
     }
 
     #[test]

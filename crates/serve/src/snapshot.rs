@@ -25,9 +25,9 @@ use std::sync::Arc;
 /// train time, so the predictor captured here — at first construction and
 /// at every [`SnapshotStore::publish`] hot-swap — already carries them,
 /// and worker batches score the candidate grid with batched, allocation-
-/// free `predict_batch` passes.  The compiled plane is bit-identical to
-/// the interpreted models (`ACIC_ENGINE=interpreted` forces the reference
-/// path for differential replay).
+/// free passes.  The compiled plane is bit-identical to the interpreted
+/// models (`Predictor::rank_candidates_interpreted` is the oracle tests
+/// hold it against).
 #[derive(Debug)]
 pub struct ModelSnapshot {
     version: u64,
@@ -63,26 +63,15 @@ impl ModelSnapshot {
         self.predictor.top_k(key.app(), key.objective(), key.instance_type(), key.k())
     }
 
-    /// Answer many canonicalized queries in fused candidate-major sweeps:
-    /// keys are grouped by `(objective, instance_type)` in encounter order
-    /// and each group is scored by one `Predictor::top_k_many` pass over
-    /// the model arenas.  Answers come back aligned with `keys` and are
-    /// **bit-identical** to calling [`Self::answer`] per key — fusing
-    /// amortizes arena traversal, it never changes a payload.
+    /// Answer many canonicalized queries in fused sweeps: keys are grouped
+    /// by `(objective, instance_type)` in encounter order and each group is
+    /// scored by one `Predictor::top_k_many` pass over the model arenas.
+    /// Answers come back aligned with `keys` and are **bit-identical** to
+    /// calling [`Self::answer`] per key — fusing amortizes arena traversal,
+    /// it never changes a payload.
     pub fn answer_many(&self, keys: &[&CacheKey]) -> Vec<Vec<(SystemConfig, f64)>> {
-        Self::answer_many_with(&self.predictor, keys)
-    }
-
-    /// [`Self::answer_many`] through an explicit predictor — the fused
-    /// serve worker passes its core-pinned, worker-local clone here so
-    /// arena reads stay on the worker's own allocation while the answers
-    /// remain a pure function of (snapshot generation, key).
-    pub fn answer_many_with(
-        predictor: &Predictor,
-        keys: &[&CacheKey],
-    ) -> Vec<Vec<(SystemConfig, f64)>> {
         if let [key] = keys {
-            return vec![predictor.top_k(key.app(), key.objective(), key.instance_type(), key.k())];
+            return vec![self.answer(key)];
         }
         let mut out: Vec<Option<Vec<(SystemConfig, f64)>>> = keys.iter().map(|_| None).collect();
         let mut groups: Vec<(acic::Objective, InstanceType, Vec<usize>)> = Vec::new();
@@ -98,7 +87,7 @@ impl ModelSnapshot {
         for (objective, instance_type, idxs) in groups {
             let queries: Vec<(acic::AppPoint, usize)> =
                 idxs.iter().map(|&i| (*keys[i].app(), keys[i].k())).collect();
-            let answers = predictor.top_k_many(&queries, objective, instance_type);
+            let answers = self.predictor.top_k_many(&queries, objective, instance_type);
             for (&i, answer) in idxs.iter().zip(answers) {
                 out[i] = Some(answer);
             }

@@ -234,28 +234,28 @@ fn replay_is_bit_identical_across_one_two_and_four_nodes() {
     assert_eq!(digests[0], digests[2], "1-node vs 4-node");
 }
 
-/// Tentpole: the fused cross-request plane is a batching strategy, not a
-/// semantic.  Replaying the same trace (with a mid-replay generation
-/// turnover) with fused scoring on and off produces bit-identical digests
-/// at every cluster size.
+/// The fused cross-request plane is a batching strategy, not a semantic.
+/// Replaying the same trace (with a mid-replay generation turnover) with
+/// every job drained alone and with 16-wide fused batches produces
+/// bit-identical digests at every cluster size.
 #[test]
-fn fused_and_sequential_replays_are_bit_identical_across_node_counts() {
+fn replays_are_bit_identical_across_batch_widths_and_node_counts() {
     let len = 400;
     let trace = Trace::with_pool(91, len, 64);
     let opts = ReplayOptions { republish_at: Some(len / 2), ..Default::default() };
     for nodes in [1usize, 2, 4] {
         let mut digests = Vec::new();
-        for fused in [true, false] {
-            let node = ServeConfig { batch: 16, fused, ..Default::default() };
+        for batch in [1usize, 16] {
+            let node = ServeConfig { batch, ..Default::default() };
             let mut c =
                 Cluster::start(artifact(), ClusterConfig { nodes, node }, Metrics::new()).unwrap();
             let out = replay(&mut c, len, |i| trace.request(i), &opts).unwrap();
-            assert_eq!(out.answered, len, "{nodes} nodes fused={fused}");
-            assert!(out.shed.is_empty(), "{nodes} nodes fused={fused}");
+            assert_eq!(out.answered, len, "{nodes} nodes batch={batch}");
+            assert!(out.shed.is_empty(), "{nodes} nodes batch={batch}");
             digests.push(out.digest);
             c.shutdown();
         }
-        assert_eq!(digests[0], digests[1], "{nodes} nodes: fused vs per-request digests diverged");
+        assert_eq!(digests[0], digests[1], "{nodes} nodes: batch 1 vs 16 digests diverged");
     }
 }
 

@@ -37,8 +37,14 @@ fn probe_requests() -> Vec<Request> {
     out
 }
 
+/// The interpreted oracle's top-k for `req`: every served payload is
+/// checked against the reference ranking, not against the compiled plane
+/// that produced it.
 fn expected_for(p: &Predictor, req: &Request) -> Vec<(SystemConfig, f64)> {
-    p.top_k(&req.app, req.objective, InstanceType::Cc2_8xlarge, req.k)
+    let mut ranked =
+        p.rank_candidates_interpreted(&req.app, req.objective, InstanceType::Cc2_8xlarge);
+    ranked.truncate(req.k.max(1));
+    ranked
 }
 
 /// Version parity → predictor: v1 = p1, publishes alternate p2, p1, p2, …
@@ -175,7 +181,6 @@ fn fused_batch_spanning_a_publish_answers_each_request_from_its_admitted_generat
         workers: 1,
         batch: 8,
         service_stall: Duration::from_millis(25),
-        fused: true,
         ..Default::default()
     };
     let server = Server::start(p1.clone(), 0, cfg, Metrics::new()).unwrap();

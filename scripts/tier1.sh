@@ -4,8 +4,7 @@
 # BENCH_predict.json, and BENCH_sim.json at the repo root), a fault-injection
 # training sweep that must complete with zero skipped points (replayed
 # byte-identically on the reference simulator core), the serve smoke gate
-# (replay determinism across worker counts, across all three scoring
-# engines, and fused vs per-request scoring, plus BENCH_serve.json), and
+# (replay determinism across worker counts, plus BENCH_serve.json), and
 # the cluster gate (trace replay byte-identical across
 # 1/2/4 nodes, verified snapshot replication, a kill → rejoin run, and
 # BENCH_cluster.json), and the search gate (same-seed adaptive campaigns
@@ -21,14 +20,13 @@ cargo test -q --offline --workspace
 cargo bench --no-run --offline --workspace
 cargo run --release --offline -p acic-bench --bin bench_cart
 
-# Compiled-plane gate: the batched flat-arena scorer must hold its speedup
-# over the interpreted oracle (the binary asserts the >= 3x median pair
-# ratio itself) with zero prediction mismatches recorded in the artifact,
-# and the fused cross-request sweep must rank the full grid >= 15x the
-# oracle with zero rank mismatches on both the f64 and f32 planes.
+# Compiled-plane gate: the flat-arena scorer must hold its speedup over
+# the interpreted oracle (the binary asserts the >= 3x median pair ratio
+# itself) with zero prediction mismatches recorded in the artifact, and
+# the fused cross-request sweep must rank the full grid >= 15x the oracle
+# with zero rank mismatches.
 cargo run --release --offline -p acic-bench --bin bench_predict
 grep -q '"mismatches": 0' BENCH_predict.json
-grep -q '"f32_mismatches": 0' BENCH_predict.json
 grep -q '"fused_speedup_floor_15x": true' BENCH_predict.json
 
 # Simulator-core gate: the event-driven core must reproduce the
@@ -65,27 +63,7 @@ rm -f target/tier1-train-db-ref.txt
   --replay scripts/serve_replay.txt --swap-at 10 > target/tier1-serve-w2.txt
 cmp target/tier1-serve-w1.txt target/tier1-serve-w2.txt
 grep -q "shed 0" target/tier1-serve-w1.txt
-# Engine cross-check: the same replay forced through the interpreted
-# reference oracle (ACIC_ENGINE=interpreted) and through the f32 arenas
-# (ACIC_ENGINE=f32) must produce byte-identical output — the compiled
-# planes serve exactly what the oracle would.  (The w1/w2 runs above are
-# the compiled default, so all three engines are byte-diffed.)
-ACIC_ENGINE=interpreted ./target/release/acic serve --db target/tier1-train-db.txt \
-  --workers 2 --replay scripts/serve_replay.txt --swap-at 10 \
-  > target/tier1-serve-oracle.txt
-cmp target/tier1-serve-w1.txt target/tier1-serve-oracle.txt
-ACIC_ENGINE=f32 ./target/release/acic serve --db target/tier1-train-db.txt \
-  --workers 2 --replay scripts/serve_replay.txt --swap-at 10 \
-  > target/tier1-serve-f32.txt
-cmp target/tier1-serve-w1.txt target/tier1-serve-f32.txt
-# Fused-plane cross-check: per-request scoring (--no-fused) must serve the
-# same bytes the fused cross-request drain serves.
-./target/release/acic serve --db target/tier1-train-db.txt \
-  --workers 2 --no-fused --replay scripts/serve_replay.txt --swap-at 10 \
-  > target/tier1-serve-nofused.txt
-cmp target/tier1-serve-w1.txt target/tier1-serve-nofused.txt
-rm -f target/tier1-train-db.txt target/tier1-serve-w1.txt target/tier1-serve-w2.txt \
-  target/tier1-serve-oracle.txt target/tier1-serve-f32.txt target/tier1-serve-nofused.txt
+rm -f target/tier1-train-db.txt target/tier1-serve-w1.txt target/tier1-serve-w2.txt
 
 # Cluster gate: a recorded trace replayed through 1-, 2-, and 4-node
 # clusters-in-a-process (with a mid-replay generation republish) must be
