@@ -2,9 +2,9 @@
 //!
 //! A [`SimArena`] owns every vector a simulation run needs — construction
 //! pools (resource/flow storage, recycled name `String`s and path `Vec`s),
-//! engine scratch for both cores, and the run outputs (finish times,
-//! served bytes).  Campaign loops keep one arena per worker thread and
-//! cycle it through build → run → reclaim, so a full training sweep does
+//! engine scratch, and the run outputs (finish times, served bytes).
+//! Campaign loops keep one arena per worker thread and cycle it through
+//! build → run → reclaim, so a full training sweep does
 //! zero steady-state allocation: after the first point warms the pools,
 //! every subsequent point reuses the same heap blocks.
 //!
@@ -17,10 +17,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::engine::Simulation;
-use crate::events::{Activation, Group};
 use crate::flow::FlowSpec;
 use crate::resource::{Resource, ResourceId};
-use crate::sharing::ClassState;
 
 static RUNS: AtomicU64 = AtomicU64::new(0);
 static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -32,7 +30,7 @@ pub(crate) fn count_run() {
 /// Process-wide arena counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Total simulation runs (both engines, pooled or not).
+    /// Total simulation runs (pooled or not).
     pub runs: u64,
     /// Allocations forced by an empty pool in a pooled simulation; flat in
     /// steady state.
@@ -47,18 +45,25 @@ pub fn stats() -> ArenaStats {
     }
 }
 
-/// All heap storage one simulation run needs, reusable across runs.
+/// Construction storage a pooled [`Simulation`] borrows from its arena
+/// and hands back, emptied, on reclaim.
 #[derive(Debug, Default)]
-pub struct SimArena {
-    // Construction pools handed to pooled simulations.
+pub(crate) struct Pools {
     pub(crate) resources: Vec<Resource>,
     pub(crate) flows: Vec<FlowSpec>,
     pub(crate) names: Vec<String>,
     pub(crate) paths: Vec<Vec<ResourceId>>,
+}
+
+/// All heap storage one simulation run needs, reusable across runs.
+#[derive(Debug, Default)]
+pub struct SimArena {
+    // Construction pools handed to pooled simulations.
+    pools: Pools,
     // Run outputs.
     pub(crate) finish: Vec<f64>,
     pub(crate) served: Vec<f64>,
-    // Reference-engine scratch.
+    // Engine scratch.
     pub(crate) pending: Vec<usize>,
     pub(crate) active: Vec<usize>,
     pub(crate) remaining: Vec<f64>,
@@ -66,14 +71,6 @@ pub struct SimArena {
     pub(crate) frozen: Vec<bool>,
     pub(crate) unfrozen_count: Vec<usize>,
     pub(crate) res_remaining: Vec<f64>,
-    // Event-engine scratch.
-    pub(crate) order: Vec<usize>,
-    pub(crate) groups: Vec<Group>,
-    pub(crate) classes: Vec<ClassState>,
-    pub(crate) class_order: Vec<usize>,
-    pub(crate) active_groups: Vec<usize>,
-    pub(crate) active_classes: Vec<usize>,
-    pub(crate) heap: Vec<Activation>,
     // Pool misses reclaimed from simulations built out of this arena.
     misses: u64,
 }
@@ -92,21 +89,13 @@ impl SimArena {
     /// via [`Self::reclaim`] when done — dropping it instead leaks the
     /// pooled storage back to the allocator.
     pub fn simulation(&mut self) -> Simulation {
-        Simulation::pooled(
-            std::mem::take(&mut self.resources),
-            std::mem::take(&mut self.flows),
-            std::mem::take(&mut self.names),
-            std::mem::take(&mut self.paths),
-        )
+        Simulation::pooled(std::mem::take(&mut self.pools))
     }
 
     /// Take a finished (or failed) simulation's storage back into the pools.
     pub fn reclaim(&mut self, sim: Simulation) {
-        let (resources, flows, names, paths, misses) = sim.into_pools();
-        self.resources = resources;
-        self.flows = flows;
-        self.names = names;
-        self.paths = paths;
+        let (pools, misses) = sim.into_pools();
+        self.pools = pools;
         self.misses += misses;
         if misses > 0 {
             POOL_MISSES.fetch_add(misses, Ordering::Relaxed);
@@ -153,8 +142,8 @@ mod tests {
             // state reuses them, so the miss count never moves again.
             assert_eq!(arena.pool_misses(), 4, "cycle {cycle} allocated");
         }
-        assert_eq!(arena.names.len(), 2);
-        assert_eq!(arena.paths.len(), 2);
+        assert_eq!(arena.pools.names.len(), 2);
+        assert_eq!(arena.pools.paths.len(), 2);
     }
 
     #[test]

@@ -11,88 +11,23 @@
 //! than packet simulation, which is what lets the ACIC harness exhaustively
 //! sweep hundreds of configurations per figure.
 //!
-//! Two engines implement that model:
-//!
-//! * [`SimEngine::Event`] (default) — the event-driven core in
-//!   [`crate::events`]: a binary-heap activation queue over groups of
-//!   identical flows with class-level fair sharing.  Per-event cost is
-//!   independent of the raw flow count.
-//! * [`SimEngine::Reference`] — the original per-flow progressive-filling
-//!   loop, kept verbatim as the oracle the event core is gated against
-//!   (bit-identical finish times and makespan; served bytes ≤1e-9
-//!   relative).  Select it end-to-end with `ACIC_SIM=reference`.
+//! One loop implements that model: per-flow progressive filling, stepped
+//! from one activation/completion epoch to the next, with every scratch
+//! vector held in a reusable [`SimArena`].
 
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::arena::SimArena;
+use crate::arena::{Pools, SimArena};
 use crate::error::CloudSimError;
 use crate::flow::{FlowId, FlowSpec};
 use crate::resource::{Resource, ResourceId};
 use crate::sharing::{self, EPS};
-
-/// Which simulator core executes a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimEngine {
-    /// Event-driven core: grouped flows, class-level filling, activation
-    /// heap (the fast path and the default).
-    Event,
-    /// The original per-flow progressive-filling loop, kept as the oracle.
-    Reference,
-}
-
-/// Process-wide engine override; takes precedence over `ACIC_SIM` but not
-/// over a per-simulation [`Simulation::set_engine`] choice.
-/// 0 = none, 1 = event, 2 = reference.
-static ENGINE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Force every simulation in this process onto one engine (or clear the
-/// override with `None`).  Used by campaign tooling and tests that need to
-/// flip engines without re-spawning or racing on the environment.
-pub fn set_engine_override(engine: Option<SimEngine>) {
-    let v = match engine {
-        None => 0,
-        Some(SimEngine::Event) => 1,
-        Some(SimEngine::Reference) => 2,
-    };
-    ENGINE_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-impl SimEngine {
-    /// Engine selected by the `ACIC_SIM` environment variable:
-    /// `reference` / `oracle` (case-insensitive) pick the oracle; anything
-    /// else, or unset, the event core.
-    pub fn from_env() -> SimEngine {
-        match std::env::var("ACIC_SIM") {
-            Ok(v) if v.eq_ignore_ascii_case("reference") || v.eq_ignore_ascii_case("oracle") => {
-                SimEngine::Reference
-            }
-            _ => SimEngine::Event,
-        }
-    }
-}
-
-/// Resolve the engine for one run: per-simulation choice, then process
-/// override, then environment.
-fn resolve_engine(pref: Option<SimEngine>) -> SimEngine {
-    if let Some(e) = pref {
-        return e;
-    }
-    match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => SimEngine::Event,
-        2 => SimEngine::Reference,
-        _ => SimEngine::from_env(),
-    }
-}
 
 /// A simulation under construction: resources plus flow specs.
 #[derive(Debug)]
 pub struct Simulation {
     pub(crate) resources: Vec<Resource>,
     pub(crate) flows: Vec<FlowSpec>,
-    /// Per-simulation engine choice; `None` defers to the process override
-    /// and then `ACIC_SIM`.
-    engine: Option<SimEngine>,
     /// Whether [`Self::label_flow`] materialises labels; pooled campaign
     /// simulations skip them to stay allocation-free.
     record_labels: bool,
@@ -110,7 +45,6 @@ impl Default for Simulation {
         Simulation {
             resources: Vec::new(),
             flows: Vec::new(),
-            engine: None,
             record_labels: true,
             name_pool: Vec::new(),
             path_pool: Vec::new(),
@@ -125,10 +59,7 @@ impl Default for Simulation {
 pub struct RunStats {
     /// Completion time of the last flow (0.0 for an empty run).
     pub makespan: f64,
-    /// Number of rate-recomputation epochs the engine stepped through;
-    /// identical across engines for the same workload (the trajectory is
-    /// bit-identical), so `events / elapsed` compares engine throughput on
-    /// equal footing.
+    /// Number of rate-recomputation epochs the engine stepped through.
     pub events: u64,
 }
 
@@ -180,29 +111,21 @@ impl Simulation {
 
     /// An empty simulation backed by recycled storage (see
     /// [`SimArena::simulation`]); skips label recording.
-    pub(crate) fn pooled(
-        resources: Vec<Resource>,
-        flows: Vec<FlowSpec>,
-        name_pool: Vec<String>,
-        path_pool: Vec<Vec<ResourceId>>,
-    ) -> Self {
-        debug_assert!(resources.is_empty() && flows.is_empty());
+    pub(crate) fn pooled(pools: Pools) -> Self {
+        debug_assert!(pools.resources.is_empty() && pools.flows.is_empty());
         Simulation {
-            resources,
-            flows,
-            engine: None,
+            resources: pools.resources,
+            flows: pools.flows,
             record_labels: false,
-            name_pool,
-            path_pool,
+            name_pool: pools.names,
+            path_pool: pools.paths,
             misses: 0,
         }
     }
 
     /// Dismantle the simulation into its pools, recycling every name,
-    /// label, and path allocation.
-    pub(crate) fn into_pools(
-        mut self,
-    ) -> (Vec<Resource>, Vec<FlowSpec>, Vec<String>, Vec<Vec<ResourceId>>, u64) {
+    /// label, and path allocation; also returns the pool-miss count.
+    pub(crate) fn into_pools(mut self) -> (Pools, u64) {
         for r in self.resources.drain(..) {
             let mut name = r.name;
             name.clear();
@@ -217,19 +140,13 @@ impl Simulation {
                 self.name_pool.push(label);
             }
         }
-        (self.resources, self.flows, self.name_pool, self.path_pool, self.misses)
-    }
-
-    /// Pin this simulation to one engine (`None` restores the default
-    /// resolution: process override, then `ACIC_SIM`, then the event core).
-    pub fn set_engine(&mut self, engine: Option<SimEngine>) {
-        self.engine = engine;
-    }
-
-    /// Builder form of [`Self::set_engine`].
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = Some(engine);
-        self
+        let pools = Pools {
+            resources: self.resources,
+            flows: self.flows,
+            names: self.name_pool,
+            paths: self.path_pool,
+        };
+        (pools, self.misses)
     }
 
     /// Add a resource with the given capacity (bytes/second).
@@ -360,21 +277,17 @@ impl Simulation {
     /// [`SimArena::finish`] / [`SimArena::served`]).
     ///
     /// Taking `&self` lets campaigns and benchmarks re-run one topology
-    /// many times — under different engines — without rebuilding it.
+    /// many times without rebuilding it.
     pub fn run_makespan_in(&self, arena: &mut SimArena) -> Result<RunStats, CloudSimError> {
         self.validate()?;
         crate::arena::count_run();
-        match resolve_engine(self.engine) {
-            SimEngine::Event => crate::events::run_event(self, arena),
-            SimEngine::Reference => run_reference(self, arena),
-        }
+        progressive_filling(self, arena)
     }
 }
 
-/// The oracle: per-flow progressive filling advanced event by event.  This
-/// is the original engine loop, unchanged except that its state lives in
-/// the arena; the event core in [`crate::events`] is gated against it.
-fn run_reference(sim: &Simulation, arena: &mut SimArena) -> Result<RunStats, CloudSimError> {
+/// Per-flow progressive filling advanced event by event, with every
+/// scratch vector borrowed from the arena.
+fn progressive_filling(sim: &Simulation, arena: &mut SimArena) -> Result<RunStats, CloudSimError> {
     let flows = &sim.flows;
     let resources = &sim.resources;
     let n = flows.len();
@@ -689,103 +602,99 @@ mod tests {
         }
     }
 
-    /// Build one topology under both engines and demand a bit-identical
-    /// trajectory: finish times, makespan, event count.
-    fn assert_engines_agree(build: impl Fn(&mut Simulation)) {
-        let mut reference = Simulation::new().with_engine(SimEngine::Reference);
-        build(&mut reference);
-        let mut event = Simulation::new().with_engine(SimEngine::Event);
-        build(&mut event);
-        let n = reference.flow_count();
-        let nr = reference.resource_count();
-        let ref_rep = reference.run().unwrap();
-        let evt_rep = event.run().unwrap();
-        assert_eq!(ref_rep.makespan().to_bits(), evt_rep.makespan().to_bits());
-        assert_eq!(ref_rep.events(), evt_rep.events());
-        for i in 0..n {
-            let f = FlowId(i);
-            assert_eq!(
-                ref_rep.finish_time(f).map(f64::to_bits),
-                evt_rep.finish_time(f).map(f64::to_bits),
-                "flow {i} finish times diverge"
-            );
-        }
-        for r in 0..nr {
-            let a = ref_rep.resource_served(ResourceId(r));
-            let b = evt_rep.resource_served(ResourceId(r));
-            assert!(
-                (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                "resource {r} served bytes diverge: {a} vs {b}"
-            );
-        }
-    }
-
     #[test]
     fn engines_agree_on_staggered_contention() {
-        assert_engines_agree(|sim| {
-            let l1 = sim.add_resource("l1", 100.0);
-            let l2 = sim.add_resource("l2", 50.0);
-            sim.add_flow(FlowSpec::new(750.0).through(l1));
-            sim.add_flow(FlowSpec::new(250.0).through(l2).released_at(1.5));
-            sim.add_flow(FlowSpec::new(250.0).through(l1).through(l2).with_latency(0.25));
-            for _ in 0..8 {
-                sim.add_flow(FlowSpec::new(100.0).through(l1).released_at(3.0));
-            }
-        });
+        // l1 = 100 B/s, l2 = 50 B/s.  Hand-stepped epochs:
+        //   0.25  f2 arrives; f0/f2 split l1 at 50 (l1 wins the tie with l2);
+        //   1.5   f1 arrives; l2 binds f1/f2 at 25, f0 takes l1's rest, 75;
+        //   3.0   eight 100 B flows join l1: all ten there run at 10, f1 at 40;
+        //   8.3125 f1 done (212.5 B at 40); 13.0 the eight are done;
+        //   14.0  f2 done (50 B at 50); 18.0 f0 done (400 B alone).
+        let mut sim = Simulation::new();
+        let l1 = sim.add_resource("l1", 100.0);
+        let l2 = sim.add_resource("l2", 50.0);
+        let f0 = sim.add_flow(FlowSpec::new(750.0).through(l1));
+        let f1 = sim.add_flow(FlowSpec::new(250.0).through(l2).released_at(1.5));
+        let f2 = sim.add_flow(FlowSpec::new(250.0).through(l1).through(l2).with_latency(0.25));
+        let late: Vec<_> = (0..8)
+            .map(|_| sim.add_flow(FlowSpec::new(100.0).through(l1).released_at(3.0)))
+            .collect();
+        let rep = sim.run().unwrap();
+        assert!(close(rep.finish_time(f0).unwrap(), 18.0));
+        assert!(close(rep.finish_time(f1).unwrap(), 8.3125));
+        assert!(close(rep.finish_time(f2).unwrap(), 14.0));
+        for f in late {
+            assert!(close(rep.finish_time(f).unwrap(), 13.0));
+        }
+        // l1 never idles, so it serves 18 s at capacity.
+        assert!(close(rep.resource_served(l1), 1800.0));
+        assert!(close(rep.resource_served(l2), 500.0));
     }
 
     #[test]
     fn engines_agree_on_equal_rate_ties() {
         // Identical capacities make the progressive-filling best-level scan
-        // tie on every level; both engines must break ties the same way.
-        assert_engines_agree(|sim| {
-            let a = sim.add_resource("a", 10.0);
-            let b = sim.add_resource("b", 10.0);
-            sim.add_flow(FlowSpec::new(40.0).through(a));
-            sim.add_flow(FlowSpec::new(40.0).through(b));
-            sim.add_flow(FlowSpec::new(40.0).through(a).through(b));
-            sim.add_flow(FlowSpec::new(40.0).through(b).through(a));
-        });
+        // tie on every level.  Each link carries three flows, so all four
+        // run at 10/3 B/s and finish at 40 / (10/3) = 12 s.
+        let mut sim = Simulation::new();
+        let a = sim.add_resource("a", 10.0);
+        let b = sim.add_resource("b", 10.0);
+        let flows = [
+            sim.add_flow(FlowSpec::new(40.0).through(a)),
+            sim.add_flow(FlowSpec::new(40.0).through(b)),
+            sim.add_flow(FlowSpec::new(40.0).through(a).through(b)),
+            sim.add_flow(FlowSpec::new(40.0).through(b).through(a)),
+        ];
+        let rep = sim.run().unwrap();
+        for f in flows {
+            assert!(close(rep.finish_time(f).unwrap(), 12.0));
+        }
+        assert!(close(rep.makespan(), 12.0));
     }
 
     #[test]
     fn engines_agree_near_saturation() {
         // Byte counts that leave residuals within a few ulps of the EPS
         // retirement threshold; regression guard for the freeze/retire
-        // slack handling in both engines.
-        assert_engines_agree(|sim| {
-            let r = sim.add_resource("link", 1.0 / 3.0);
-            let s = sim.add_resource("slow", 1e-3);
-            for i in 0..6 {
-                sim.add_flow(FlowSpec::new(0.1 + 1e-13 * i as f64).through(r));
-            }
-            sim.add_flow(FlowSpec::new(1e-6).through(r).through(s));
-        });
+        // slack handling.  The slow hop binds the tiny flow at 1e-3 B/s
+        // (done at 1e-3 s); `link` stays saturated throughout, so the six
+        // near-equal flows retire together once it has moved every byte.
+        let mut sim = Simulation::new();
+        let r = sim.add_resource("link", 1.0 / 3.0);
+        let s = sim.add_resource("slow", 1e-3);
+        let bytes: Vec<f64> = (0..6).map(|i| 0.1 + 1e-13 * i as f64).collect();
+        let big: Vec<_> =
+            bytes.iter().map(|&b| sim.add_flow(FlowSpec::new(b).through(r))).collect();
+        let tiny = sim.add_flow(FlowSpec::new(1e-6).through(r).through(s));
+        let rep = sim.run().unwrap();
+        let total = bytes.iter().sum::<f64>() + 1e-6;
+        assert!(close(rep.finish_time(tiny).unwrap(), 1e-3));
+        for f in big {
+            assert!(close(rep.finish_time(f).unwrap(), total * 3.0));
+        }
+        assert!(rep.flows().all(|(_, t, _)| t.is_finite()));
+        assert!(close(rep.resource_served(r), total));
+        assert!(close(rep.resource_served(s), 1e-6));
     }
 
     #[test]
     fn event_engine_groups_identical_flows() {
-        // 64 clones + 1 straggler: the event core should step through the
-        // exact trajectory of the reference engine while holding only two
-        // groups internally.  The observable check is the bit-identical
-        // report; the grouping itself is covered by the event count.
-        assert_engines_agree(|sim| {
-            let r = sim.add_resource("link", 1000.0);
-            for _ in 0..64 {
-                sim.add_flow(FlowSpec::new(100.0).through(r));
-            }
-            sim.add_flow(FlowSpec::new(5.0).through(r).released_at(0.02));
-        });
-    }
-
-    #[test]
-    fn engine_override_controls_resolution() {
-        set_engine_override(Some(SimEngine::Reference));
-        // A per-simulation choice still wins over the override.
-        let mut sim = Simulation::new().with_engine(SimEngine::Event);
-        let r = sim.add_resource("link", 100.0);
-        sim.add_flow(FlowSpec::new(100.0).through(r));
-        assert!(sim.run().is_ok());
-        set_engine_override(None);
+        // 64 clones + 1 straggler on a 1000 B/s link.  The clones run at
+        // 15.625 B/s until the straggler arrives at 0.02 s; all 65 then
+        // run at 1000/65 B/s and the straggler's 5 B take 0.325 s; the
+        // clones finish their last 94.6875 B at 15.625 B/s.  Three
+        // rate epochs in all, however many clones share the link.
+        let mut sim = Simulation::new();
+        let r = sim.add_resource("link", 1000.0);
+        let clones: Vec<_> =
+            (0..64).map(|_| sim.add_flow(FlowSpec::new(100.0).through(r))).collect();
+        let straggler = sim.add_flow(FlowSpec::new(5.0).through(r).released_at(0.02));
+        let rep = sim.run().unwrap();
+        assert!(close(rep.finish_time(straggler).unwrap(), 0.345));
+        for f in clones {
+            assert!(close(rep.finish_time(f).unwrap(), 6.405));
+        }
+        assert_eq!(rep.events(), 3);
+        assert!(close(rep.resource_served(r), 6405.0));
     }
 }

@@ -1,18 +1,11 @@
 //! Fair-sharing rate computation: progressive filling (Bertsekas &
-//! Gallager) over individual flows, and its weighted class-level
-//! counterpart used by the event-driven core.
+//! Gallager) over individual flows.
 //!
-//! Both functions implement the *same* algorithm: raise every unfrozen
-//! flow's rate uniformly until some resource saturates, freeze the flows
-//! through it at the current level, repeat.  The class variant collapses
-//! flows that share one exact resource path into a single entry whose
-//! integer weight is its member count.  Because the per-resource unfrozen
-//! counts it produces are the same integers the per-flow variant would
-//! compute, every floating-point operation — the `remaining / count`
-//! saturation levels, the `delta * count` subtractions, the `0..R` scan
-//! order — is identical, and the resulting rates are bit-for-bit equal.
-//! That invariant is what lets the event engine be gated bit-identically
-//! against the reference engine (see DESIGN.md §14).
+//! Raise every unfrozen flow's rate uniformly until some resource
+//! saturates, freeze the flows through it at the current level, repeat.
+//! Resources are scanned in index order and the first one to reach the
+//! lowest saturation level wins a tie, so the allocation — and with it
+//! every simulated trajectory — is a pure function of the flow set.
 
 use crate::flow::FlowSpec;
 use crate::resource::Resource;
@@ -20,19 +13,6 @@ use crate::resource::Resource;
 /// Numeric slack used when deciding that a flow has finished or a resource
 /// has saturated; keeps the event loop robust against floating-point drift.
 pub(crate) const EPS: f64 = 1e-9;
-
-/// One equivalence class of flows sharing an exact resource path.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ClassState {
-    /// Index of a representative flow whose path defines the class.
-    pub(crate) rep: usize,
-    /// Number of active member flows (the class weight); 0 while inactive.
-    pub(crate) weight: usize,
-    /// Scratch: frozen at the current fill level.
-    pub(crate) frozen: bool,
-    /// Output: the max-min fair rate of every member flow.
-    pub(crate) rate: f64,
-}
 
 /// Progressive filling over individual flows.  Writes the max-min fair rate
 /// of every flow in `active` into `rates`.
@@ -102,205 +82,5 @@ pub(crate) fn max_min_flow_rates(
                 }
             }
         }
-    }
-}
-
-/// Progressive filling over flow classes.  `active` lists indices into
-/// `classes` whose `weight` has been set to the live member count; on
-/// return each listed class's `rate` is the max-min fair rate of each of
-/// its members.
-///
-/// The freeze condition depends only on a class's path, so within one fill
-/// level every member of a class freezes together — which is why a single
-/// weighted entry is exact, not an approximation.
-pub(crate) fn fill_class_rates(
-    resources: &[Resource],
-    flows: &[FlowSpec],
-    classes: &mut [ClassState],
-    active: &[usize],
-    unfrozen_count: &mut [usize],
-    res_remaining: &mut [f64],
-) {
-    for r in 0..resources.len() {
-        unfrozen_count[r] = 0;
-        res_remaining[r] = resources[r].capacity;
-    }
-    for &c in active {
-        let cls = &mut classes[c];
-        cls.frozen = false;
-        cls.rate = 0.0;
-        for r in &flows[cls.rep].path {
-            unfrozen_count[r.0] += cls.weight;
-        }
-    }
-
-    let mut level = 0.0f64;
-    let mut left = active.len();
-    while left > 0 {
-        let mut best_r = usize::MAX;
-        let mut best_level = f64::INFINITY;
-        for r in 0..resources.len() {
-            if unfrozen_count[r] > 0 {
-                let sat = level + res_remaining[r] / unfrozen_count[r] as f64;
-                if sat < best_level {
-                    best_level = sat;
-                    best_r = r;
-                }
-            }
-        }
-        debug_assert!(best_r != usize::MAX, "active classes but no loaded resource");
-
-        let delta = best_level - level;
-        for r in 0..resources.len() {
-            if unfrozen_count[r] > 0 {
-                res_remaining[r] -= delta * unfrozen_count[r] as f64;
-            }
-        }
-        level = best_level;
-
-        for &c in active {
-            if classes[c].frozen {
-                continue;
-            }
-            let hits_saturated = flows[classes[c].rep]
-                .path
-                .iter()
-                .any(|r| r.0 == best_r || res_remaining[r.0] <= EPS * resources[r.0].capacity);
-            if hits_saturated {
-                let cls = &mut classes[c];
-                cls.frozen = true;
-                cls.rate = level;
-                left -= 1;
-                for r in &flows[cls.rep].path {
-                    unfrozen_count[r.0] -= cls.weight;
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::resource::ResourceId;
-    use crate::rng::SplitMix64;
-
-    fn resources(caps: &[f64]) -> Vec<Resource> {
-        caps.iter()
-            .enumerate()
-            .map(|(i, &c)| Resource::new(format!("r{i}"), c).unwrap())
-            .collect()
-    }
-
-    fn flow(path: &[usize]) -> FlowSpec {
-        let mut f = FlowSpec::new(1.0);
-        for &r in path {
-            f = f.through(ResourceId(r));
-        }
-        f
-    }
-
-    /// Run both variants (flows as singleton classes) and demand bit-equal
-    /// rates.
-    fn assert_variants_agree(res: &[Resource], flows: &[FlowSpec]) {
-        let n = flows.len();
-        let active: Vec<usize> = (0..n).collect();
-        let mut rates = vec![0.0; n];
-        let mut frozen = vec![false; n];
-        let mut uc = vec![0usize; res.len()];
-        let mut rem = vec![0.0; res.len()];
-        max_min_flow_rates(res, flows, &active, &mut rates, &mut frozen, &mut uc, &mut rem);
-
-        let mut classes: Vec<ClassState> = (0..n)
-            .map(|i| ClassState { rep: i, weight: 1, frozen: false, rate: 0.0 })
-            .collect();
-        fill_class_rates(res, flows, &mut classes, &active, &mut uc, &mut rem);
-
-        for i in 0..n {
-            assert_eq!(
-                rates[i].to_bits(),
-                classes[i].rate.to_bits(),
-                "flow {i}: per-flow rate {} vs class rate {}",
-                rates[i],
-                classes[i].rate
-            );
-        }
-    }
-
-    #[test]
-    fn singleton_classes_match_flows_on_bottleneck_example() {
-        let res = resources(&[100.0, 50.0]);
-        let flows = vec![flow(&[0]), flow(&[1]), flow(&[0, 1])];
-        assert_variants_agree(&res, &flows);
-    }
-
-    #[test]
-    fn singleton_classes_match_flows_on_equal_rate_ties() {
-        // Two identical-capacity resources: the best-level scan ties and the
-        // lowest-index resource must win in both variants.
-        let res = resources(&[10.0, 10.0]);
-        let flows = vec![flow(&[0]), flow(&[1]), flow(&[0]), flow(&[1])];
-        assert_variants_agree(&res, &flows);
-    }
-
-    #[test]
-    fn singleton_classes_match_flows_near_saturation() {
-        // Capacities chosen so `remaining / count` leaves residuals within a
-        // few ulps of the EPS freeze threshold.
-        let res = resources(&[1.0, 1.0 / 3.0, 1e-9]);
-        let flows = vec![flow(&[0, 1]), flow(&[0, 1]), flow(&[0, 2]), flow(&[1])];
-        assert_variants_agree(&res, &flows);
-    }
-
-    #[test]
-    fn singleton_classes_match_flows_on_random_topologies() {
-        let mut rng = SplitMix64::new(0xC0FFEE);
-        for _ in 0..50 {
-            let nr = 1 + (rng.next_u64() % 5) as usize;
-            let caps: Vec<f64> = (0..nr)
-                .map(|_| 1.0 + (rng.next_u64() % 1000) as f64 / 7.0)
-                .collect();
-            let res = resources(&caps);
-            let nf = 1 + (rng.next_u64() % 12) as usize;
-            let flows: Vec<FlowSpec> = (0..nf)
-                .map(|_| {
-                    let hops = 1 + (rng.next_u64() % nr as u64) as usize;
-                    let path: Vec<usize> =
-                        (0..hops).map(|_| (rng.next_u64() % nr as u64) as usize).collect();
-                    flow(&path)
-                })
-                .collect();
-            assert_variants_agree(&res, &flows);
-        }
-    }
-
-    #[test]
-    fn weighted_class_equals_duplicated_flows() {
-        let res = resources(&[100.0, 60.0]);
-        // Five clones of path [0,1] and two of path [0].
-        let mut dup_flows = Vec::new();
-        for _ in 0..5 {
-            dup_flows.push(flow(&[0, 1]));
-        }
-        for _ in 0..2 {
-            dup_flows.push(flow(&[0]));
-        }
-        let active: Vec<usize> = (0..dup_flows.len()).collect();
-        let mut rates = vec![0.0; dup_flows.len()];
-        let mut frozen = vec![false; dup_flows.len()];
-        let mut uc = vec![0usize; res.len()];
-        let mut rem = vec![0.0; res.len()];
-        max_min_flow_rates(&res, &dup_flows, &active, &mut rates, &mut frozen, &mut uc, &mut rem);
-
-        // The same workload as two weighted classes over representative flows.
-        let reps = vec![flow(&[0, 1]), flow(&[0])];
-        let mut classes = vec![
-            ClassState { rep: 0, weight: 5, frozen: false, rate: 0.0 },
-            ClassState { rep: 1, weight: 2, frozen: false, rate: 0.0 },
-        ];
-        fill_class_rates(&res, &reps, &mut classes, &[0, 1], &mut uc, &mut rem);
-
-        assert_eq!(rates[0].to_bits(), classes[0].rate.to_bits());
-        assert_eq!(rates[6].to_bits(), classes[1].rate.to_bits());
     }
 }

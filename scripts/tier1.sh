@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, full test suite, bench compile check, the CART engine,
-# compiled-inference, and simulator-core benchmark artifacts (BENCH_cart.json,
-# BENCH_predict.json, and BENCH_sim.json at the repo root), a fault-injection
-# training sweep that must complete with zero skipped points (replayed
-# byte-identically on the reference simulator core), the serve smoke gate
+# Tier-1 gate: build, full test suite, clippy on the simulator crates, bench
+# compile check, the CART engine and compiled-inference benchmark artifacts
+# (BENCH_cart.json and BENCH_predict.json at the repo root), the paper
+# reproduction lane (every figure/table binary byte-diffed against
+# results/), a fault-injection training sweep that must complete with zero
+# skipped points, the serve smoke gate
 # (replay determinism across worker counts, plus BENCH_serve.json), and
 # the cluster gate (trace replay byte-identical across
 # 1/2/4 nodes, verified snapshot replication, a kill → rejoin run, and
@@ -17,6 +18,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline
 cargo test -q --offline --workspace
+cargo clippy -p acic-cloudsim -p acic-fsim --all-targets --offline -- -D warnings
 cargo bench --no-run --offline --workspace
 cargo run --release --offline -p acic-bench --bin bench_cart
 
@@ -29,13 +31,27 @@ cargo run --release --offline -p acic-bench --bin bench_predict
 grep -q '"mismatches": 0' BENCH_predict.json
 grep -q '"fused_speedup_floor_15x": true' BENCH_predict.json
 
-# Simulator-core gate: the event-driven core must reproduce the
-# progressive-filling reference oracle bit-for-bit on every storm seed
-# (zero mismatches in the artifact) and hold its events/sec speedup on a
-# campaign-scale storm (the binary asserts the median pair ratio itself,
-# with a gate_mode-reduced bar on single-core runners).
-cargo run --release --offline -p acic-bench --bin bench_sim
-grep -q '"mismatches": 0' BENCH_sim.json
+# Paper-reproduction gate: every figure/table binary must print exactly
+# what results/<bin>.txt records.  KNOWN_DRIFT lists the outputs that have
+# moved since results/ was written (ROADMAP item 5 tracks explaining and
+# re-blessing them); they still run, their drift is reported, and one that
+# matches again fails the gate until it is taken off the list.
+KNOWN_DRIFT="fig4_cart_tree fig8_training_cost ablation_model obs56_observations"
+mkdir -p target/tier1-repro
+for want in results/*.txt; do
+  bin=$(basename "$want" .txt)
+  ./target/release/"$bin" > "target/tier1-repro/$bin.txt"
+  if [[ " $KNOWN_DRIFT " == *" $bin "* ]]; then
+    if cmp -s "$want" "target/tier1-repro/$bin.txt"; then
+      echo "$bin matches $want again: remove it from KNOWN_DRIFT" >&2
+      exit 1
+    fi
+    echo "known drift (ROADMAP item 5): $bin differs from $want" >&2
+  else
+    cmp "$want" "target/tier1-repro/$bin.txt"
+  fi
+done
+rm -rf target/tier1-repro
 
 # Resilience gate: a training campaign under the paper's observed fault rate
 # (§5.6 observation 5) must retry every abort away.  `train` exits non-zero
@@ -44,14 +60,6 @@ grep -q '"mismatches": 0' BENCH_sim.json
 # of the workspace suite (tests/resilience.rs, tests/properties.rs).
 cargo run --release --offline -p acic-cli --bin acic -- \
   train --dims 4 --faults paper-rate --report --out target/tier1-train-db.txt
-
-# Simulator-core cross-check: the same faulted campaign replayed on the
-# reference oracle (ACIC_SIM=reference) must write byte-identical database
-# text — the event core trains on exactly what the oracle would measure.
-ACIC_SIM=reference ./target/release/acic \
-  train --dims 4 --faults paper-rate --out target/tier1-train-db-ref.txt
-cmp target/tier1-train-db.txt target/tier1-train-db-ref.txt
-rm -f target/tier1-train-db-ref.txt
 
 # Serve gate: the same replay file answered at two worker counts — with a
 # mid-replay hot-swap to a freshly retrained (identical) snapshot — must
