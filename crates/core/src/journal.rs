@@ -9,13 +9,14 @@
 //! a resumed campaign reconstructs the *bit-identical* database an
 //! uninterrupted run would have produced.
 //!
-//! Format (line-oriented, reusing the `TrainingDb::to_text` row framing):
+//! Format (line-oriented, reusing the `TrainingDb::to_text` row framing;
+//! `\t` marks a tab):
 //!
 //! ```text
 //! acic-journal v2
 //! campaign seed=<u64> points=<count> fingerprint=<16 hex digits>
-//! ok	<index>	<attempts>	<secs>	<cost>	<17 tab-separated training-point fields>
-//! skip	<index>	<attempts>	<secs>	<cost>	<reason>
+//! ok\t<index>\t<attempts>\t<secs>\t<cost>\t<17 tab-separated training-point fields>
+//! skip\t<index>\t<attempts>\t<secs>\t<cost>\t<reason>
 //! ```
 //!
 //! A torn final line (the process died mid-append) is tolerated and
@@ -318,8 +319,8 @@ fn parse(text: &str, expected: &CampaignId) -> Result<JournalState, String> {
         ));
     }
 
-    let mut state = JournalState::default();
-    state.valid_bytes = (version.len() + campaign.len()) as u64;
+    let mut state =
+        JournalState { valid_bytes: (version.len() + campaign.len()) as u64, ..Default::default() };
     let mut lineno = 2usize;
     for raw in raw_lines {
         lineno += 1;

@@ -68,5 +68,5 @@ pub use predictor::Predictor;
 pub use resilience::{Collection, CollectionReport, PointProvenance, RetryPolicy, SkippedPoint};
 pub use space::{AppPoint, CacheKey, ParamId, SystemConfig};
 pub use store::{PublishedSnapshot, SampleLookup, Store, StoreSample};
-pub use training::{point_key, CollectOptions, Trainer, TrainingDb, TrainingPoint};
+pub use training::{point_key, CollectOptions, Collector, Trainer, TrainingDb, TrainingPoint};
 pub use verify::{verify_top_k, Verification, VerifiedCandidate};

@@ -21,9 +21,9 @@ pub struct RetryPolicy {
     pub backoff_base_secs: f64,
     /// Exponential backoff growth factor.
     pub backoff_factor: f64,
-    /// Per-point budget of accounted seconds (simulated attempts + backoff
-    /// + baseline share); once exceeded the point is skipped.  Infinite by
-    /// default.
+    /// Per-point budget of accounted seconds (simulated attempts, backoff
+    /// and baseline share); once exceeded the point is skipped.  Infinite
+    /// by default.
     pub point_budget_secs: f64,
 }
 

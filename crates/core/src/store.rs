@@ -8,12 +8,13 @@
 //! segments listed by a manifest, and `acic publish` turns the canonical
 //! sample set into a [`PublishedSnapshot`] that `acic serve` hot-swaps in.
 //!
-//! ## On-disk layout (all files line-oriented text, like the rest of ACIC)
+//! ## On-disk layout (all files line-oriented text, like the rest of ACIC;
+//! `\t` marks a tab)
 //!
 //! ```text
 //! <dir>/MANIFEST          acic-store v1
 //!                         samples=<n> hash=<16 hex digits>
-//!                         segment	seg-<hash>.txt	<count>	<16 hex digits>
+//!                         segment\tseg-<hash>.txt\t<count>\t<16 hex digits>
 //! <dir>/seg-<hash>.txt    acic-seg v1
 //!                         samples=<count>
 //!                         <count> sample lines, canonically sorted
@@ -22,7 +23,7 @@
 //! ```
 //!
 //! A sample line is
-//! `s	<key>	<campaign>	<seed>	<index>	<attempts>	<17 point fields>`
+//! `s\t<key>\t<campaign>\t<seed>\t<index>\t<attempts>\t<17 point fields>`
 //! where `key` is the FNV-1a hash of the sample's canonical configuration
 //! point (the same bit-exact encoding `CacheKey` hashing and campaign
 //! fingerprints use) and the remaining prefix fields are provenance: which
@@ -125,7 +126,7 @@ impl StoreSample {
         Self { key: sample_key(&point), campaign, seed, index, attempts, point }
     }
 
-    fn to_line(&self) -> String {
+    fn to_line(self) -> String {
         format!(
             "s\t{:016x}\t{:016x}\t{}\t{}\t{}\t{}",
             self.key,
@@ -1031,7 +1032,7 @@ mod tests {
         assert_eq!(a.key, b.key);
         let x = canonicalize(vec![a, b, c]);
         let y = canonicalize(vec![c, a, b]);
-        let z = canonicalize(vec![canonicalize(vec![a, c]), vec![b]].concat());
+        let z = canonicalize([canonicalize(vec![a, c]), vec![b]].concat());
         assert_eq!(x, y);
         assert_eq!(x, z, "canonicalization must be associative");
         assert_eq!(x.len(), 2);

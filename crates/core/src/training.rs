@@ -33,7 +33,6 @@ use acic_iobench::{run_ior_faulted, IorConfig, IorReport};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
 
 /// One training observation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -254,249 +253,29 @@ impl Trainer {
     /// worker count, whether run straight through or killed and resumed —
     /// every attempt's seed is a pure function of `(campaign seed, point
     /// index, attempt)`, and assembly always walks points in index order.
+    /// This is the one-call case of [`Self::collector`].
     pub fn collect_with(
         &self,
         points: &[SpacePoint],
         opts: &CollectOptions,
     ) -> Result<Collection, AcicError> {
-        let id = self.campaign_id(points);
-        let wanted: Vec<usize> = match opts.subset {
-            None => (0..points.len()).collect(),
-            Some(ixs) => {
-                let set: std::collections::BTreeSet<usize> = ixs.iter().copied().collect();
-                if let Some(&bad) = set.iter().rev().find(|&&i| i >= points.len()) {
-                    return Err(AcicError::Invalid(format!(
-                        "subset index {bad} out of range for a {}-point campaign",
-                        points.len()
-                    )));
-                }
-                set.into_iter().collect()
-            }
-        };
-        let mut restored: BTreeMap<usize, JournalEntry> = BTreeMap::new();
-        let writer = match opts.journal {
-            None => None,
-            Some(path) if path.exists() => {
-                let state = journal::load(path, &id)?;
-                restored = state.entries;
-                // Truncate any torn tail before appending: without this the
-                // first resumed entry would weld onto the fragment.
-                Some(JournalWriter::resume_with(path, state.valid_bytes, opts.commit)?)
-            }
-            Some(path) => Some(JournalWriter::create_with(path, &id, opts.commit)?),
-        };
+        self.collector(points).collect(opts)
+    }
 
-        let arena_before = acic_cloudsim::arena::stats();
-        let root = SplitMix64::new(self.seed);
-        let baseline_sys = SystemConfig::baseline();
-
-        let todo: Vec<usize> =
-            wanted.iter().copied().filter(|i| !restored.contains_key(i)).collect();
-
-        // Lookup-before-measure resolved up front: store-hit status is a
-        // pure function of the lookup index, which makes the journal
-        // emission order — todo minus store hits, ascending — computable
-        // before any simulation runs.
-        let hits: Vec<Option<crate::store::StoreSample>> = todo
-            .iter()
-            .map(|&i| opts.lookup.and_then(|l| l.get(point_key(&points[i])).copied()))
-            .collect();
-        // Journal sequence ranks: the writer plane commits entries in
-        // campaign index order regardless of scheduling, so journal bytes
-        // are identical at any worker count and any commit batch.
-        let mut seq_of: Vec<u64> = vec![u64::MAX; todo.len()];
-        let mut next_seq = 0u64;
-        for (t, hit) in hits.iter().enumerate() {
-            if hit.is_none() {
-                seq_of[t] = next_seq;
-                next_seq += 1;
-            }
+    /// An incremental collection session over the campaign `points`: each
+    /// [`Collector::collect`] call simulates only the wanted points (and
+    /// baselines) no earlier call on this collector has simulated, and
+    /// returns exactly what a fresh [`Self::collect_with`] on the same
+    /// options and journal state would.  Adaptive campaigns collect their
+    /// growing proposal set through one collector.
+    pub fn collector<'a>(&'a self, points: &'a [SpacePoint]) -> Collector<'a> {
+        Collector {
+            trainer: self,
+            points,
+            id: self.campaign_id(points),
+            runs: Vec::new(),
+            baselines: BTreeMap::new(),
         }
-
-        // Shared-nothing baseline stage: deduplicate the distinct app
-        // halves this session will simulate *before* the parallel loop,
-        // run each baseline exactly once in parallel, and fan the results
-        // out via `Arc` — no mutexed cache, no under-lock clones, no
-        // filled-twice races.  Each baseline is a pure function of
-        // `(campaign seed, app key)`, so the table is bit-identical to
-        // what the old racing cache converged to.
-        let mut apps: BTreeMap<Vec<u64>, AppPoint> = BTreeMap::new();
-        for (t, &i) in todo.iter().enumerate() {
-            if hits[t].is_none() {
-                apps.entry(app_bits(&points[i].app)).or_insert(points[i].app);
-            }
-        }
-        let apps: Vec<(Vec<u64>, AppPoint)> = apps.into_iter().collect();
-        let baselines: BTreeMap<Vec<u64>, Arc<BaselineEntry>> = apps
-            .into_par_iter()
-            .map(|(key, app)| {
-                let entry = self.compute_baseline(&root, &baseline_sys, &app, &key);
-                (key, Arc::new(entry))
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .collect();
-
-        let session_start = std::time::Instant::now();
-        let fresh: Vec<PointRun> = todo
-            .par_iter()
-            .enumerate()
-            .map(|(t, &i)| {
-                if let Some(hit) = hits[t] {
-                    // Answered from the durable store: no simulation, no
-                    // baseline, nothing journaled (the store itself is the
-                    // durable record; a resume re-answers identically).
-                    return PointRun {
-                        tp: Some(hit.point),
-                        attempts: hit.attempts,
-                        from_store: true,
-                        ..PointRun::empty(i)
-                    };
-                }
-                let run = self.run_point(i, &points[i], &root, &baselines);
-                if let Some(w) = &writer {
-                    // Sequenced append: the writer plane buffers this until
-                    // every earlier entry has committed before it.  I/O
-                    // errors surface at finish() below.
-                    w.append_seq(seq_of[t], &run.to_journal_entry());
-                }
-                run
-            })
-            .collect();
-        let session_secs = session_start.elapsed().as_secs_f64();
-        let commit_stats = match writer {
-            Some(w) => Some(w.finish()?),
-            None => None,
-        };
-
-        // Deterministic assembly: pre-sized slots over `wanted` (index
-        // order), so sums — and therefore the database bits — never depend
-        // on scheduling, and no per-run tree rebalancing happens on large
-        // campaigns.  A journal may hold more than the subset asks for (an
-        // adaptive campaign resumed with a smaller cumulative batch); only
-        // wanted indices are assembled.
-        let mut slots: Vec<Option<PointRun>> = Vec::with_capacity(wanted.len());
-        slots.resize_with(wanted.len(), || None);
-        for (index, entry) in restored {
-            if let Ok(t) = wanted.binary_search(&index) {
-                slots[t] = Some(PointRun::from_journal(entry));
-            }
-        }
-        for run in fresh {
-            let t = wanted
-                .binary_search(&run.index)
-                .expect("fresh run for a point outside the wanted set");
-            slots[t] = Some(run);
-        }
-        assert!(
-            slots.iter().all(Option::is_some),
-            "collection left unfilled campaign slots (journal/todo split is broken)"
-        );
-
-        let mut db = TrainingDb::default();
-        let mut report = CollectionReport { planned: wanted.len(), ..Default::default() };
-        for run in slots.into_iter().flatten() {
-            if run.resumed {
-                report.resumed += 1;
-            }
-            if run.from_store {
-                report.store_hits += 1;
-            }
-            match run.tp {
-                Some(tp) => {
-                    if !run.resumed {
-                        report.completed += 1;
-                    }
-                    report.point_log.push(PointProvenance {
-                        index: run.index,
-                        attempts: run.attempts,
-                    });
-                    db.points.push(tp);
-                }
-                None => report.skipped.push(SkippedPoint {
-                    index: run.index,
-                    attempts: run.attempts,
-                    error: run
-                        .error
-                        .clone()
-                        .unwrap_or_else(|| AcicError::Invalid("unrecorded failure".into())),
-                }),
-            }
-            db.collect_secs += run.secs;
-            db.collect_cost_usd += run.cost;
-            report.retries += run.retries as usize;
-            report.aborts += run.aborts as usize;
-            report.faults_tolerated += run.faults;
-            report.backoff_secs += run.backoff_secs;
-            report.wasted_secs += run.wasted_secs;
-            report.wasted_cost_usd += run.wasted_cost;
-            report.sim_secs += run.sim_secs;
-        }
-        // Baseline overhead is keyed per distinct app half, so it is
-        // reported once per baseline (BTreeMap order keeps it stable).
-        for b in baselines.values() {
-            report.baseline_runs += 1;
-            report.retries += b.retries as usize;
-            report.aborts += b.aborts as usize;
-            report.backoff_secs += b.backoff_secs;
-            report.wasted_secs += b.wasted_secs;
-            report.wasted_cost_usd += b.wasted_cost;
-            if b.result.is_ok() {
-                report.faults_tolerated += b.faults;
-            }
-        }
-        if let Some(stats) = commit_stats {
-            report.group_commits = stats.group_commits as usize;
-        }
-
-        if let Some(m) = opts.metrics {
-            m.incr("train.points.attempted", (report.planned - report.resumed) as u64);
-            m.incr("train.points.completed", report.completed as u64);
-            m.incr("train.points.resumed", report.resumed as u64);
-            m.incr("train.points.skipped", report.skipped.len() as u64);
-            m.incr("train.runs.retried", report.retries as u64);
-            m.incr("train.runs.aborted", report.aborts as u64);
-            m.incr("train.faults.tolerated", report.faults_tolerated as u64);
-            m.incr("train.baseline.runs", report.baseline_runs as u64);
-            m.incr("train.db.points", db.len() as u64);
-            if report.store_hits > 0 {
-                m.incr("search.store_hits", report.store_hits as u64);
-            }
-            m.observe_secs("train.sim_secs", db.collect_secs);
-            m.observe_secs("train.backoff_secs", report.backoff_secs);
-            // Writer-plane accounting: how well the group commit amortized
-            // durability, and how far the reorder/accumulation buffer grew.
-            if let Some(stats) = commit_stats {
-                m.incr("journal.group_commits", stats.group_commits);
-                m.record_max("journal.queue_high_water", stats.queue_high_water);
-            }
-            // Collection throughput of this session's parallel loop (real
-            // wall clock, not simulated seconds) — the number BENCH_train
-            // gates.
-            if !todo.is_empty() && session_secs > 0.0 {
-                m.record_max(
-                    "train.points_per_sec",
-                    (todo.len() as f64 / session_secs).round() as u64,
-                );
-            }
-            // Simulator arena health: runs executed during this campaign
-            // and how many of them missed the recycled pools.  A warm
-            // steady state shows a large run delta with a (near-)zero miss
-            // delta — the allocation-free campaign loop.
-            let arena_after = acic_cloudsim::arena::stats();
-            m.incr("sim.arena.runs", arena_after.runs.saturating_sub(arena_before.runs));
-            m.incr(
-                "sim.arena.pool_misses",
-                arena_after.pool_misses.saturating_sub(arena_before.pool_misses),
-            );
-        }
-
-        if opts.strict {
-            if let Some(sk) = report.skipped.first() {
-                return Err(sk.error.clone());
-            }
-        }
-        Ok(Collection { db, report })
     }
 
     /// Collect one point: baseline (precomputed per app half) plus the
@@ -507,7 +286,7 @@ impl Trainer {
         i: usize,
         p: &SpacePoint,
         root: &SplitMix64,
-        baselines: &BTreeMap<Vec<u64>, Arc<BaselineEntry>>,
+        baselines: &BTreeMap<Vec<u64>, BaselineEntry>,
     ) -> PointRun {
         let app_key = app_bits(&p.app);
         let entry = baselines
@@ -628,6 +407,293 @@ impl Trainer {
             wasted_secs: run.wasted_secs,
             wasted_cost: run.wasted_cost,
         }
+    }
+}
+
+/// One campaign's incremental collection session (see
+/// [`Trainer::collector`]).
+///
+/// The collector keeps every point it has simulated, by grid index, and
+/// every baseline, by app key.  Each [`Self::collect`] call resolves its
+/// wanted points in precedence order — journal entries (counted as
+/// `resumed`), then store hits (looked up afresh on every call, never
+/// kept), then points this collector already simulated (counted as
+/// `completed`, as re-simulating them would be), and only then new
+/// simulations.  Every run is a pure function of `(campaign seed, grid
+/// index)` or `(campaign seed, app key)`, so a reused run is the run a
+/// re-simulation would produce, bit for bit.
+#[derive(Debug)]
+pub struct Collector<'a> {
+    trainer: &'a Trainer,
+    points: &'a [SpacePoint],
+    id: CampaignId,
+    /// Simulated points, sorted by grid index (never journal restores or
+    /// store hits).
+    runs: Vec<PointRun>,
+    /// Simulated baselines by app key.
+    baselines: BTreeMap<Vec<u64>, BaselineEntry>,
+}
+
+impl Collector<'_> {
+    /// The identity of this collector's campaign (computed once).
+    pub fn campaign_id(&self) -> CampaignId {
+        self.id
+    }
+
+    /// The run this collector simulated for grid index `i`, if any.
+    fn simulated(&self, i: usize) -> Option<&PointRun> {
+        self.runs.binary_search_by_key(&i, |run| run.index).ok().map(|k| &self.runs[k])
+    }
+
+    /// Collect the points `opts` wants (see [`Trainer::collect_with`]),
+    /// simulating only those this collector does not hold yet.
+    pub fn collect(&mut self, opts: &CollectOptions) -> Result<Collection, AcicError> {
+        let points = self.points;
+        let wanted: Vec<usize> = match opts.subset {
+            None => (0..points.len()).collect(),
+            Some(ixs) => {
+                let set: std::collections::BTreeSet<usize> = ixs.iter().copied().collect();
+                if let Some(&bad) = set.iter().rev().find(|&&i| i >= points.len()) {
+                    return Err(AcicError::Invalid(format!(
+                        "subset index {bad} out of range for a {}-point campaign",
+                        points.len()
+                    )));
+                }
+                set.into_iter().collect()
+            }
+        };
+        let mut restored: BTreeMap<usize, JournalEntry> = BTreeMap::new();
+        let writer = match opts.journal {
+            None => None,
+            Some(path) if path.exists() => {
+                let state = journal::load(path, &self.id)?;
+                restored = state.entries;
+                // Truncate any torn tail before appending: without this the
+                // first resumed entry would weld onto the fragment.
+                Some(JournalWriter::resume_with(path, state.valid_bytes, opts.commit)?)
+            }
+            Some(path) => Some(JournalWriter::create_with(path, &self.id, opts.commit)?),
+        };
+
+        let arena_before = acic_cloudsim::arena::stats();
+        let root = SplitMix64::new(self.trainer.seed);
+        let baseline_sys = SystemConfig::baseline();
+
+        let todo: Vec<usize> =
+            wanted.iter().copied().filter(|i| !restored.contains_key(i)).collect();
+
+        // Lookup-before-measure resolved up front: store-hit status is a
+        // pure function of the lookup index, which makes the journal
+        // emission order — todo minus store hits, ascending — computable
+        // before any simulation runs.
+        let hits: Vec<Option<crate::store::StoreSample>> = todo
+            .iter()
+            .map(|&i| opts.lookup.and_then(|l| l.get(point_key(&points[i])).copied()))
+            .collect();
+        // Journal sequence ranks: the writer plane commits entries in
+        // campaign index order regardless of scheduling, so journal bytes
+        // are identical at any worker count and any commit batch.  Points
+        // this collector already simulated are journaled like fresh ones.
+        let mut seq_of: Vec<u64> = vec![u64::MAX; todo.len()];
+        let mut next_seq = 0u64;
+        for (t, hit) in hits.iter().enumerate() {
+            if hit.is_none() {
+                seq_of[t] = next_seq;
+                next_seq += 1;
+                if let (Some(w), Some(run)) = (&writer, self.simulated(todo[t])) {
+                    w.append_seq(seq_of[t], &run.to_journal_entry());
+                }
+            }
+        }
+
+        // Shared-nothing baseline stage: deduplicate the distinct app
+        // halves behind this call's measured points, run each baseline
+        // this collector lacks exactly once in parallel, and keep it —
+        // no mutexed cache, no under-lock clones, no filled-twice races.
+        // Each baseline is a pure function of `(campaign seed, app key)`.
+        let mut apps: BTreeMap<Vec<u64>, AppPoint> = BTreeMap::new();
+        for (t, &i) in todo.iter().enumerate() {
+            if hits[t].is_none() {
+                apps.entry(app_bits(&points[i].app)).or_insert(points[i].app);
+            }
+        }
+        let missing: Vec<(&Vec<u64>, &AppPoint)> =
+            apps.iter().filter(|(key, _)| !self.baselines.contains_key(*key)).collect();
+        let computed: Vec<(Vec<u64>, BaselineEntry)> = missing
+            .into_par_iter()
+            .map(|(key, app)| {
+                let entry = self.trainer.compute_baseline(&root, &baseline_sys, app, key);
+                (key.clone(), entry)
+            })
+            .collect();
+        self.baselines.extend(computed);
+
+        // This session's work: store hits and points not yet simulated.
+        let session: Vec<usize> = (0..todo.len())
+            .filter(|&t| hits[t].is_some() || self.simulated(todo[t]).is_none())
+            .collect();
+        let session_start = std::time::Instant::now();
+        let fresh: Vec<PointRun> = session
+            .par_iter()
+            .map(|&t| {
+                let i = todo[t];
+                if let Some(hit) = hits[t] {
+                    // Answered from the durable store: no simulation, no
+                    // baseline, nothing journaled (the store itself is the
+                    // durable record; a resume re-answers identically).
+                    return PointRun {
+                        tp: Some(hit.point),
+                        attempts: hit.attempts,
+                        from_store: true,
+                        ..PointRun::empty(i)
+                    };
+                }
+                let run = self.trainer.run_point(i, &points[i], &root, &self.baselines);
+                if let Some(w) = &writer {
+                    // Sequenced append: the writer plane buffers this until
+                    // every earlier entry has committed before it.  I/O
+                    // errors surface at finish() below.
+                    w.append_seq(seq_of[t], &run.to_journal_entry());
+                }
+                run
+            })
+            .collect();
+        let session_secs = session_start.elapsed().as_secs_f64();
+        let commit_stats = match writer {
+            Some(w) => Some(w.finish()?),
+            None => None,
+        };
+        let mut store_runs: BTreeMap<usize, PointRun> = BTreeMap::new();
+        self.runs.reserve(fresh.len());
+        for run in fresh {
+            if run.from_store {
+                store_runs.insert(run.index, run);
+            } else {
+                self.runs.push(run);
+            }
+        }
+        self.runs.sort_by_key(|run| run.index);
+        let restored: BTreeMap<usize, PointRun> = restored
+            .into_iter()
+            .filter(|(index, _)| wanted.binary_search(index).is_ok())
+            .map(|(index, entry)| (index, PointRun::from_journal(entry)))
+            .collect();
+
+        // Deterministic assembly over `wanted` (index order), so sums —
+        // and therefore the database bits — never depend on scheduling or
+        // on which call simulated a point.  A journal may hold more than
+        // the subset asks for (an adaptive campaign resumed with a smaller
+        // cumulative batch); only wanted indices are assembled.
+        let mut db = TrainingDb::default();
+        let mut report = CollectionReport { planned: wanted.len(), ..Default::default() };
+        for &i in &wanted {
+            let run = restored
+                .get(&i)
+                .or_else(|| store_runs.get(&i))
+                .or_else(|| self.simulated(i))
+                .expect("collection left an unfilled campaign slot (journal/todo split is broken)");
+            if run.resumed {
+                report.resumed += 1;
+            }
+            if run.from_store {
+                report.store_hits += 1;
+            }
+            match run.tp {
+                Some(tp) => {
+                    if !run.resumed {
+                        report.completed += 1;
+                    }
+                    report.point_log.push(PointProvenance {
+                        index: run.index,
+                        attempts: run.attempts,
+                    });
+                    db.points.push(tp);
+                }
+                None => report.skipped.push(SkippedPoint {
+                    index: run.index,
+                    attempts: run.attempts,
+                    error: run
+                        .error
+                        .clone()
+                        .unwrap_or_else(|| AcicError::Invalid("unrecorded failure".into())),
+                }),
+            }
+            db.collect_secs += run.secs;
+            db.collect_cost_usd += run.cost;
+            report.retries += run.retries as usize;
+            report.aborts += run.aborts as usize;
+            report.faults_tolerated += run.faults;
+            report.backoff_secs += run.backoff_secs;
+            report.wasted_secs += run.wasted_secs;
+            report.wasted_cost_usd += run.wasted_cost;
+            report.sim_secs += run.sim_secs;
+        }
+        // Baseline overhead is keyed per distinct app half, so it is
+        // reported once per baseline (BTreeMap order keeps it stable).
+        for key in apps.keys() {
+            let b = &self.baselines[key];
+            report.baseline_runs += 1;
+            report.retries += b.retries as usize;
+            report.aborts += b.aborts as usize;
+            report.backoff_secs += b.backoff_secs;
+            report.wasted_secs += b.wasted_secs;
+            report.wasted_cost_usd += b.wasted_cost;
+            if b.result.is_ok() {
+                report.faults_tolerated += b.faults;
+            }
+        }
+        if let Some(stats) = commit_stats {
+            report.group_commits = stats.group_commits as usize;
+        }
+
+        if let Some(m) = opts.metrics {
+            m.incr("train.points.attempted", (report.planned - report.resumed) as u64);
+            m.incr("train.points.completed", report.completed as u64);
+            m.incr("train.points.resumed", report.resumed as u64);
+            m.incr("train.points.skipped", report.skipped.len() as u64);
+            m.incr("train.runs.retried", report.retries as u64);
+            m.incr("train.runs.aborted", report.aborts as u64);
+            m.incr("train.faults.tolerated", report.faults_tolerated as u64);
+            m.incr("train.baseline.runs", report.baseline_runs as u64);
+            m.incr("train.db.points", db.len() as u64);
+            if report.store_hits > 0 {
+                m.incr("search.store_hits", report.store_hits as u64);
+            }
+            m.observe_secs("train.sim_secs", db.collect_secs);
+            m.observe_secs("train.backoff_secs", report.backoff_secs);
+            // Writer-plane accounting: how well the group commit amortized
+            // durability, and how far the reorder/accumulation buffer grew.
+            if let Some(stats) = commit_stats {
+                m.incr("journal.group_commits", stats.group_commits);
+                m.record_max("journal.queue_high_water", stats.queue_high_water);
+            }
+            // Collection throughput of this session's parallel loop (real
+            // wall clock, not simulated seconds) — the number BENCH_train
+            // gates.
+            if !session.is_empty() && session_secs > 0.0 {
+                m.record_max(
+                    "train.points_per_sec",
+                    (session.len() as f64 / session_secs).round() as u64,
+                );
+            }
+            // Simulator arena health: runs executed during this call and
+            // how many of them missed the recycled pools.  A warm steady
+            // state shows a large run delta with a (near-)zero miss delta
+            // — the allocation-free campaign loop.
+            let arena_after = acic_cloudsim::arena::stats();
+            m.incr("sim.arena.runs", arena_after.runs.saturating_sub(arena_before.runs));
+            m.incr(
+                "sim.arena.pool_misses",
+                arena_after.pool_misses.saturating_sub(arena_before.pool_misses),
+            );
+        }
+
+        if opts.strict {
+            if let Some(sk) = report.skipped.first() {
+                return Err(sk.error.clone());
+            }
+        }
+        Ok(Collection { db, report })
     }
 }
 
@@ -1182,8 +1248,8 @@ mod tests {
         let plan = FaultPlan { phase_fail_prob: 0.05, retry_penalty_secs: 35.0, abort_prob: 0.5 };
         let t = Trainer::with_paper_ranking(99).with_faults(plan);
         // 5 dims is the smallest campaign where distinct points share app
-        // halves (96 points over 24 baselines) — the sharing the Arc
-        // fan-out must keep deterministic.
+        // halves (96 points over 24 baselines) — the sharing the shared
+        // baseline table must keep deterministic.
         let points = t.sample_points(5);
         std::env::set_var("RAYON_NUM_THREADS", "1");
         let serial = t.collect_with(&points, &CollectOptions::default()).unwrap();
@@ -1197,6 +1263,71 @@ mod tests {
             points.len() > serial.report.baseline_runs,
             "campaign must share baselines across points to exercise the fan-out"
         );
+    }
+
+    #[test]
+    fn collector_matches_fresh_collect_with_on_every_call() {
+        use crate::store::{samples_from_collection, SampleLookup};
+        let t = Trainer::with_paper_ranking(17).with_faults(FaultPlan::papers_observed_rate());
+        let points = t.sample_points(5);
+        let n = points.len();
+        // A store measured by another campaign answers every seventh point.
+        let other = Trainer::with_paper_ranking(3);
+        let answered: Vec<usize> = (0..n).step_by(7).collect();
+        let opts = CollectOptions { subset: Some(&answered), ..Default::default() };
+        let pre = other.collect_with(&points, &opts).unwrap();
+        let samples = samples_from_collection(&other.campaign_id(&points), &pre).unwrap();
+        let lookup = SampleLookup::from_samples(samples);
+
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/test-journals");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (mine, theirs) = (dir.join("collector.journal"), dir.join("collector-fresh.journal"));
+        let _ = std::fs::remove_file(&mine);
+        let _ = std::fs::remove_file(&theirs);
+
+        let every = |step: usize, from: usize| -> Vec<usize> { (from..n).step_by(step).collect() };
+        let mut grown = every(4, 0);
+        grown.extend(every(4, 1));
+        let steps: Vec<(&str, Option<Vec<usize>>, bool, bool)> = vec![
+            ("first batch", Some(every(8, 0)), false, false),
+            ("grows between earlier points", Some(every(4, 0)), false, false),
+            ("grows again, store answers some", Some(grown.clone()), true, false),
+            ("shrinks", Some(grown[..grown.len() / 3].to_vec()), true, false),
+            ("creates a journal", Some(every(2, 0)), false, true),
+            ("resumes the journal, whole grid", None, true, true),
+            ("resumes the journal, shrunk", Some(every(8, 3)), false, true),
+        ];
+        let mut collector = t.collector(&points);
+        assert_eq!(collector.campaign_id(), t.campaign_id(&points));
+        for (what, subset, use_lookup, use_journal) in steps {
+            if mine.exists() {
+                std::fs::copy(&mine, &theirs).unwrap();
+            }
+            let opts = |path| CollectOptions {
+                subset: subset.as_deref(),
+                lookup: if use_lookup { Some(&lookup) } else { None },
+                journal: if use_journal { Some(path) } else { None },
+                ..Default::default()
+            };
+            let got = collector.collect(&opts(mine.as_path())).unwrap();
+            let want = t.collect_with(&points, &opts(theirs.as_path())).unwrap();
+            assert_eq!(got.db.to_text(), want.db.to_text(), "{what}: database");
+            assert_eq!(got.report, want.report, "{what}: report");
+            if use_journal {
+                assert_eq!(
+                    std::fs::read(&mine).unwrap(),
+                    std::fs::read(&theirs).unwrap(),
+                    "{what}"
+                );
+            }
+            assert!(!got.db.is_empty(), "{what}");
+            assert_eq!(use_lookup, got.report.store_hits > 0, "{what}");
+            if what.starts_with("resumes") {
+                assert!(got.report.resumed > 0, "{what}");
+            }
+        }
+        let _ = std::fs::remove_file(&mine);
+        let _ = std::fs::remove_file(&theirs);
     }
 
     #[test]

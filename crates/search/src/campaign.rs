@@ -6,8 +6,12 @@
 //!
 //! The driver never owns state a journal cannot reconstruct.  Each round
 //! it hands the planner the *cumulative* collection (rebuilt from the
-//! trainer's output, which itself is rebuilt from the journal on resume)
-//! and collects the cumulative proposal set as one subset campaign:
+//! trainer's output, which itself is rebuilt from the journal on resume).
+//! One [`acic::Collector`] serves the whole search: each round asks it for
+//! the cumulative proposal set, and it simulates only the round's new
+//! proposals (earlier points come from the journal, the store, or the
+//! runs the collector already holds), assembling the same collection a
+//! one-shot subset campaign over the proposal set would return:
 //!
 //! * Every point's seed derives from `(campaign seed, grid index)`, so a
 //!   subset measurement is bit-identical to the exhaustive campaign's
@@ -200,7 +204,8 @@ pub fn run_search(
     if points.is_empty() {
         return Err(SearchError::EmptyGrid);
     }
-    let id = trainer.campaign_id(points);
+    let mut collector = trainer.collector(points);
+    let id = collector.campaign_id();
     let grid = Grid::new(points);
     let priors = crate::warm::remap(cfg.warm, &grid, cfg.objective);
     let mut planner = cfg.strategy.instantiate();
@@ -239,18 +244,19 @@ pub fn run_search(
         }
         proposed.extend(batch.iter().copied());
 
-        // One cumulative subset collection per round: earlier rounds are
-        // answered by the journal (or the store), this round simulates.
+        // The cumulative proposal set through the one collector: earlier
+        // rounds are answered by the journal, the store or the collector's
+        // own runs; only this round's new proposals simulate.
         let subset: Vec<usize> = proposed.iter().copied().collect();
         let opts = CollectOptions {
             journal: cfg.journal,
-            metrics: None, // cumulative re-collection would multi-count
+            metrics: None, // each round's report is cumulative and would multi-count
             strict: false,
             subset: Some(&subset),
             lookup: cfg.lookup,
             commit: cfg.commit,
         };
-        let col = trainer.collect_with(points, &opts)?;
+        let col = collector.collect(&opts)?;
 
         // Campaign-level accounting: every wanted point was either
         // simulated (this session or journaled) or answered by the store.

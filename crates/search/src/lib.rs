@@ -13,7 +13,9 @@
 //! * [`budget`] — [`budget::Budget`] / [`budget::StopReason`]: max
 //!   measurements, cost ceilings, plateau detection, typed errors.
 //! * [`campaign`] — [`campaign::run_search`]: drives planner batches
-//!   through the trainer's retry/journal/checkpoint path, answering
+//!   through the trainer's retry/journal/checkpoint path (one
+//!   incremental [`acic::Collector`] per search, so each round simulates
+//!   only its new proposals), answering
 //!   already-measured points from the durable store
 //!   (lookup-before-measure), and renders a byte-diffable [`campaign::Plan`].
 //! * [`warm`] — cross-application warm start: another app's store

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, full test suite, clippy on the simulator crates, bench
-# compile check, the CART engine and compiled-inference benchmark artifacts
-# (BENCH_cart.json and BENCH_predict.json at the repo root), the paper
+# Tier-1 gate: build, full test suite, clippy on the simulator, core and
+# search crates, bench compile check, the CART engine and compiled-inference
+# benchmark artifacts (BENCH_cart.json and BENCH_predict.json at the repo
+# root), the paper
 # reproduction lane (every figure/table binary byte-diffed against
 # results/), a fault-injection training sweep that must complete with zero
 # skipped points, the serve smoke gate
@@ -19,6 +20,7 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline --workspace
 cargo clippy -p acic-cloudsim -p acic-fsim --all-targets --offline -- -D warnings
+cargo clippy -p acic -p acic-search --no-deps --all-targets --offline -- -D warnings
 cargo bench --no-run --offline --workspace
 cargo run --release --offline -p acic-bench --bin bench_cart
 
