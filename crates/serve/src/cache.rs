@@ -10,7 +10,9 @@
 //! when an insert under snapshot version `v` needs a victim, entries from
 //! generations older than `v` (superseded — unreachable to any future
 //! lookup at `v`) are evicted first, in LRU order among themselves; only
-//! a shard holding nothing stale falls back to plain LRU.
+//! a shard holding nothing stale falls back to plain LRU.  Each shard
+//! keeps one intrusive LRU list per resident generation, so a hit, an
+//! insert and the victim choice are all O(1) in the shard's size.
 
 use acic::{CacheKey, SystemConfig};
 use parking_lot::Mutex;
@@ -23,51 +25,184 @@ use std::sync::Arc;
 /// bump, not a copy of the candidate list.
 pub type CachedTopK = Arc<Vec<(SystemConfig, f64)>>;
 
+/// Slab link meaning "no node".
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a cached answer and its place in its generation's list.
 #[derive(Debug)]
-struct Entry {
+struct Node {
+    key: (CacheKey, u64),
+    /// `None` while the slot sits on the free list, so a freed slot drops
+    /// its answer at once rather than when it is reused.
+    value: Option<CachedTopK>,
     last_used: u64,
-    value: CachedTopK,
+    prev: u32,
+    next: u32,
 }
 
+/// The resident entries of one snapshot generation, coldest at `head`.
+#[derive(Debug)]
+struct Generation {
+    version: u64,
+    head: u32,
+    tail: u32,
+}
+
+/// One LRU shard.  Entries live in a slab, linked into one intrusive list
+/// per resident snapshot generation (two or three: a publish sweeps every
+/// generation older than the previous one).  Every touch or insert takes a
+/// fresh, shard-unique tick and moves its entry to the tail of its list,
+/// so each list is in tick order and its head is its least recently used
+/// entry.
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<(CacheKey, u64), Entry>,
+    map: HashMap<(CacheKey, u64), u32>,
+    slab: Vec<Node>,
+    free: Vec<u32>,
+    /// Never holds an empty list: a generation's list is dropped with its
+    /// last entry.
+    lists: Vec<Generation>,
     tick: u64,
 }
 
 impl Shard {
+    fn list_of(&self, version: u64) -> usize {
+        self.lists
+            .iter()
+            .position(|g| g.version == version)
+            .expect("resident generation has a list")
+    }
+
+    fn unlink(&mut self, g: usize, slot: u32) {
+        let (prev, next) = (self.slab[slot as usize].prev, self.slab[slot as usize].next);
+        match prev {
+            NIL => self.lists[g].head = next,
+            p => self.slab[p as usize].next = next,
+        }
+        match next {
+            NIL => self.lists[g].tail = prev,
+            n => self.slab[n as usize].prev = prev,
+        }
+    }
+
+    fn push_back(&mut self, g: usize, slot: u32) {
+        let tail = self.lists[g].tail;
+        let node = &mut self.slab[slot as usize];
+        node.prev = tail;
+        node.next = NIL;
+        match tail {
+            NIL => self.lists[g].head = slot,
+            t => self.slab[t as usize].next = slot,
+        }
+        self.lists[g].tail = slot;
+    }
+
+    /// Stamp `slot` with a fresh tick and move it to the tail of its list.
+    fn refresh(&mut self, slot: u32) {
+        let node = &mut self.slab[slot as usize];
+        node.last_used = self.tick;
+        if node.next != NIL {
+            let version = node.key.1;
+            let g = self.list_of(version);
+            self.unlink(g, slot);
+            self.push_back(g, slot);
+        }
+    }
+
+    /// Return `slot` to the free list, dropping its answer and its key.
+    fn release(&mut self, slot: u32) {
+        let node = &mut self.slab[slot as usize];
+        node.value = None;
+        self.map.remove(&node.key);
+        self.free.push(slot);
+    }
+
     fn touch(&mut self, key: &(CacheKey, u64)) -> Option<CachedTopK> {
         self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|e| {
-            e.last_used = tick;
-            e.value.clone()
-        })
+        let slot = *self.map.get(key)?;
+        self.refresh(slot);
+        self.slab[slot as usize].value.clone()
     }
 
     fn insert(&mut self, key: (CacheKey, u64), value: CachedTopK, capacity: usize) {
         self.tick += 1;
-        let tick = self.tick;
-        if self.map.len() >= capacity && !self.map.contains_key(&key) {
-            // Victim choice is generation-aware: an entry from a snapshot
-            // generation older than the one being inserted is superseded —
-            // no future lookup under the new generation can hit it — so
-            // any such entry is evicted (LRU among them) before a
-            // same-generation entry is considered.  Only when every
-            // resident entry is at or above the inserted generation does
-            // plain LRU pick the victim.  Ticks are unique per shard, so
-            // the victim is unambiguous either way.
-            let inserted_version = key.1;
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|((_, v), e)| (*v >= inserted_version, e.last_used))
-                .map(|(k, _)| *k)
-            {
-                self.map.remove(&victim);
+        if let Some(&slot) = self.map.get(&key) {
+            self.slab[slot as usize].value = Some(value);
+            self.refresh(slot);
+            return;
+        }
+        if self.map.len() >= capacity {
+            self.evict_one(key.1);
+        }
+        let node = Node { key, value: Some(value), last_used: self.tick, prev: NIL, next: NIL };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = node;
+                slot
+            }
+            None => {
+                self.slab.push(node);
+                u32::try_from(self.slab.len() - 1).expect("shard slab fits u32 links")
+            }
+        };
+        let g = match self.lists.iter().position(|g| g.version == key.1) {
+            Some(g) => g,
+            None => {
+                self.lists.push(Generation { version: key.1, head: NIL, tail: NIL });
+                self.lists.len() - 1
+            }
+        };
+        self.push_back(g, slot);
+        self.map.insert(key, slot);
+    }
+
+    /// Evict the entry an insert under `inserted_version` displaces.
+    ///
+    /// Victim choice is generation-aware: an entry from a snapshot
+    /// generation older than the one being inserted is superseded — no
+    /// future lookup under the new generation can hit it — so any such
+    /// entry is evicted (LRU among them) before a same-generation entry is
+    /// considered.  Only when every resident entry is at or above the
+    /// inserted generation does plain LRU pick the victim.  The rule is
+    /// `min_by_key((version >= inserted_version, last_used))` over every
+    /// entry; since all entries of one list share the first component and
+    /// each list's head holds its smallest tick, the same minimum over the
+    /// list heads picks the same entry.  Ticks are unique per shard, so the
+    /// victim is unambiguous either way.
+    fn evict_one(&mut self, inserted_version: u64) {
+        let g = (0..self.lists.len())
+            .min_by_key(|&g| {
+                let list = &self.lists[g];
+                (list.version >= inserted_version, self.slab[list.head as usize].last_used)
+            })
+            .expect("a full shard has a resident generation");
+        let victim = self.lists[g].head;
+        self.unlink(g, victim);
+        if self.lists[g].head == NIL {
+            self.lists.swap_remove(g);
+        }
+        self.release(victim);
+    }
+
+    /// Drop every list of a generation older than `min_version`; returns
+    /// how many entries went with them.
+    fn evict_older_than(&mut self, min_version: u64) -> usize {
+        let mut evicted = 0;
+        let mut g = 0;
+        while g < self.lists.len() {
+            if self.lists[g].version >= min_version {
+                g += 1;
+                continue;
+            }
+            let mut slot = self.lists.swap_remove(g).head;
+            while slot != NIL {
+                let next = self.slab[slot as usize].next;
+                self.release(slot);
+                evicted += 1;
+                slot = next;
             }
         }
-        self.map.insert(key, Entry { last_used: tick, value });
+        evicted
     }
 }
 
@@ -124,15 +259,7 @@ impl ResultCache {
     /// the current and previous generations (in-flight batches may still
     /// answer on the generation they loaded).
     pub fn evict_older_than(&self, min_version: u64) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let mut s = s.lock();
-                let before = s.map.len();
-                s.map.retain(|(_, v), _| *v >= min_version);
-                before - s.map.len()
-            })
-            .sum()
+        self.shards.iter().map(|s| s.lock().evict_older_than(min_version)).sum()
     }
 
     /// Entries currently cached (all shards, all versions).
@@ -172,6 +299,7 @@ mod tests {
     use acic::space::SpacePoint;
     use acic::{Objective, SystemConfig};
     use acic_cloudsim::instance::InstanceType;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn key(nprocs: usize, k: usize) -> CacheKey {
@@ -314,6 +442,145 @@ mod tests {
         for k in &working_set {
             assert_eq!(c.get(k, 100).unwrap()[0].1, 100.0);
         }
+    }
+
+    /// The linear-scan shard the slab lists replaced, kept as the
+    /// reference the victim-equivalence property compares against.
+    #[derive(Debug, Default)]
+    struct ScanShard {
+        map: HashMap<(CacheKey, u64), (u64, CachedTopK)>,
+        tick: u64,
+    }
+
+    impl ScanShard {
+        fn touch(&mut self, key: &(CacheKey, u64)) -> Option<CachedTopK> {
+            self.tick += 1;
+            let tick = self.tick;
+            self.map.get_mut(key).map(|(last_used, value)| {
+                *last_used = tick;
+                value.clone()
+            })
+        }
+
+        fn insert(&mut self, key: (CacheKey, u64), value: CachedTopK, capacity: usize) {
+            self.tick += 1;
+            if self.map.len() >= capacity && !self.map.contains_key(&key) {
+                let inserted_version = key.1;
+                if let Some(victim) = self
+                    .map
+                    .iter()
+                    .min_by_key(|((_, v), (last_used, _))| (*v >= inserted_version, *last_used))
+                    .map(|(k, _)| *k)
+                {
+                    self.map.remove(&victim);
+                }
+            }
+            self.map.insert(key, (self.tick, value));
+        }
+    }
+
+    /// [`ResultCache`]'s sharding and counters over [`ScanShard`]s.
+    struct ScanCache {
+        shards: Vec<ScanShard>,
+        per_shard_capacity: usize,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ScanCache {
+        fn new(capacity: usize, shards: usize) -> Self {
+            let reference = ResultCache::new(capacity, shards);
+            Self {
+                shards: (0..reference.shards.len()).map(|_| ScanShard::default()).collect(),
+                per_shard_capacity: reference.per_shard_capacity,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn get(&mut self, key: &CacheKey, version: u64) -> Option<CachedTopK> {
+            let n = self.shards.len();
+            let found = self.shards[key.shard(n)].touch(&(*key, version));
+            match found {
+                Some(_) => self.hits += 1,
+                None => self.misses += 1,
+            }
+            found
+        }
+
+        fn insert(&mut self, key: CacheKey, version: u64, value: CachedTopK) {
+            let n = self.shards.len();
+            self.shards[key.shard(n)].insert((key, version), value, self.per_shard_capacity);
+        }
+
+        fn evict_older_than(&mut self, min_version: u64) -> usize {
+            self.shards
+                .iter_mut()
+                .map(|s| {
+                    let before = s.map.len();
+                    s.map.retain(|(_, v), _| *v >= min_version);
+                    before - s.map.len()
+                })
+                .sum()
+        }
+
+        fn len(&self) -> usize {
+            self.shards.iter().map(|s| s.map.len()).sum()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random get/insert/evict_older_than sequences over four
+        /// versions (inserts under an older version after a newer one
+        /// included) answer, count and evict exactly as the linear scan.
+        #[test]
+        fn slab_lists_pick_the_victim_the_linear_scan_picks(
+            capacity in 1usize..=16,
+            shards in 1usize..=4,
+            ops in prop::collection::vec((0u8..9, 0usize..15, 1u64..=4), 1..300),
+        ) {
+            let keys: Vec<CacheKey> =
+                (0..15).map(|i| key(16 << (i % 5), 1 + i / 5)).collect();
+            let cache = ResultCache::new(capacity, shards);
+            let mut scan = ScanCache::new(capacity, shards);
+            for (step, &(op, k, version)) in ops.iter().enumerate() {
+                let k = &keys[k];
+                match op {
+                    0..=3 => {
+                        let got = cache.get(k, version).map(|r| r[0].1);
+                        let want = scan.get(k, version).map(|r| r[0].1);
+                        prop_assert_eq!(got, want, "get at step {step}");
+                    }
+                    4..=7 => {
+                        cache.insert(*k, version, result(step as f64));
+                        scan.insert(*k, version, result(step as f64));
+                    }
+                    _ => prop_assert_eq!(
+                        cache.evict_older_than(version),
+                        scan.evict_older_than(version),
+                        "evict_older_than at step {step}"
+                    ),
+                }
+                prop_assert_eq!(cache.len(), scan.len(), "len at step {step}");
+                prop_assert_eq!((cache.hits(), cache.misses()), (scan.hits, scan.misses));
+            }
+        }
+    }
+
+    #[test]
+    fn freed_slots_drop_their_answer_and_are_reused() {
+        let c = ResultCache::new(2, 1);
+        let (k1, k2, k3) = (key(32, 1), key(64, 2), key(128, 3));
+        let first = result(1.0);
+        c.insert(k1, 1, Arc::clone(&first));
+        c.insert(k2, 1, result(2.0));
+        c.insert(k3, 1, result(3.0));
+        assert_eq!(Arc::strong_count(&first), 1, "the evicted answer is released");
+        assert_eq!(c.evict_older_than(2), 2);
+        c.insert(k1, 2, result(4.0));
+        assert_eq!(c.shards[0].lock().slab.len(), 2, "freed slots are reused, not appended");
     }
 
     #[test]

@@ -584,7 +584,7 @@ fn serve_fused(shared: &Shared, batch: Vec<Job>) {
         let share = t0.elapsed().as_secs_f64() / run.len() as f64;
         for (&i, answer) in run.iter().zip(answers) {
             let top: CachedTopK = Arc::new(answer);
-            shared.cache.insert(batch[i].key.clone(), version, Arc::clone(&top));
+            shared.cache.insert(batch[i].key, version, Arc::clone(&top));
             m.observe_latency("serve.predict", share);
             m.incr("serve.predictions", 1);
             slots[i] = Slot::Compute(Some(top));
@@ -614,7 +614,7 @@ fn serve_fused(shared: &Shared, batch: Vec<Job>) {
                         // The primary's entry was evicted already (tiny
                         // cache): recompute, as a lone miss would.
                         let top: CachedTopK = Arc::new(job.snapshot.answer(&job.key));
-                        shared.cache.insert(job.key.clone(), version, Arc::clone(&top));
+                        shared.cache.insert(job.key, version, Arc::clone(&top));
                         m.observe_latency("serve.predict", t0.elapsed().as_secs_f64());
                         m.incr("serve.predictions", 1);
                         (top, false)

@@ -18,6 +18,9 @@ use acic_serve::{Request, ServeConfig, Server};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+/// One observed answer: `(request index, snapshot version, top-k)`.
+type Observed = (usize, u64, Vec<(SystemConfig, f64)>);
+
 fn train(seed: u64, dims: usize) -> Predictor {
     let db = Trainer::with_paper_ranking(seed).collect(dims).unwrap();
     Predictor::train(&db, seed).unwrap()
@@ -88,7 +91,7 @@ fn concurrent_queries_see_exactly_one_generation() {
         let done = AtomicBool::new(false);
         let started = std::sync::atomic::AtomicUsize::new(0);
         let n_clients = 4usize;
-        let collected: Vec<(usize, u64, Vec<(SystemConfig, f64)>)> = std::thread::scope(|s| {
+        let collected: Vec<Observed> = std::thread::scope(|s| {
             let mut clients = Vec::new();
             for c in 0..n_clients {
                 let h = h.clone();

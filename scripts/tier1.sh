@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline --workspace
 cargo clippy -p acic-cloudsim -p acic-fsim --all-targets --offline -- -D warnings
-cargo clippy -p acic -p acic-search --no-deps --all-targets --offline -- -D warnings
+cargo clippy -p acic -p acic-search -p acic-serve --no-deps --all-targets --offline -- -D warnings
 cargo bench --no-run --offline --workspace
 cargo run --release --offline -p acic-bench --bin bench_cart
 
